@@ -17,36 +17,30 @@ ones collapse to a small set of distinct fired-detector patterns.  The
    the adaptive shot scheduler — reuse earlier decodes outright; once full
    it evicts **least-recently-used** (hits refresh recency), so hot
    syndromes survive long varied sweeps while one-off patterns cycle out;
-5. batches with many *unknown* distinct syndromes can fan the per-syndrome
-   decodes across a thread pool (``REPRO_DECODE_FANOUT`` sets the minimum
-   unknown count; ``0``, the default, keeps decoding serial).  Memo and
-   counter bookkeeping still runs in deterministic batch order, so fanned
-   results are bit-identical to serial ones;
-6. the memo round-trips through :meth:`BatchDecoderBase.export_memo` /
+5. the memo round-trips through :meth:`BatchDecoderBase.export_memo` /
    :meth:`BatchDecoderBase.import_memo` as primitive lists, which is what
    the pipeline persists into the on-disk result cache so restarted
    workers skip re-decoding syndromes a previous process already paid for.
 
 Subclasses implement a single method, ``_decode_fired``, mapping a canonical
 syndrome to the *parity set* of flipped logical observables (a frozenset, so
-predictions are hashable and memoisable).  Everything else — dense and
-sparse batch entry points, the legacy one-shot ``decode``, result packing —
-lives here, shared by both decoders.
+predictions are hashable and memoisable).  Decoding runs serially in the
+calling thread: ``_decode_fired`` is pure-Python matching, so threads would
+only contend for the GIL.  Everything else — dense and sparse batch entry
+points, the legacy one-shot ``decode``, result packing — lives here, shared
+by both decoders.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..env import env_int
 
-__all__ = ["DecodeResult", "BatchDecoderBase", "decode_fanout_threshold",
-           "syndrome_cache_limit"]
+__all__ = ["DecodeResult", "BatchDecoderBase", "syndrome_cache_limit"]
 
 _DEFAULT_SYNDROME_CACHE = 1 << 16
 
@@ -62,35 +56,6 @@ def syndrome_cache_limit(env=None) -> int:
     """
     return env_int("REPRO_SYNDROME_CACHE", _DEFAULT_SYNDROME_CACHE,
                    minimum=0, env=env)
-
-
-def decode_fanout_threshold(env=None) -> int:
-    """Minimum unknown-syndrome count that fans a batch across threads.
-
-    Read from ``REPRO_DECODE_FANOUT``; ``0`` (the default) keeps decoding
-    serial.  Negative or non-integer values raise a ``ValueError`` naming
-    the variable.
-    """
-    return env_int("REPRO_DECODE_FANOUT", 0, minimum=0, env=env)
-
-
-_FANOUT_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _fanout_pool() -> ThreadPoolExecutor:
-    """Process-wide decode thread pool, built on first fanned batch.
-
-    Threads (not processes) because the decoders' lazy geodesic/parity
-    caches live on the decoder object: concurrent ``_decode_fired`` calls
-    race only on idempotent pure-function cache fills, which is safe under
-    the GIL and keeps every computed value identical to a serial run.
-    """
-    global _FANOUT_POOL
-    if _FANOUT_POOL is None:
-        _FANOUT_POOL = ThreadPoolExecutor(
-            max_workers=min(8, os.cpu_count() or 1),
-            thread_name_prefix="repro-decode")
-    return _FANOUT_POOL
 
 
 @dataclass
@@ -120,7 +85,6 @@ class BatchDecoderBase:
     def __init__(self) -> None:
         self._syndrome_memo: dict = {}
         self._syndrome_memo_limit = syndrome_cache_limit()
-        self._decode_fanout = decode_fanout_threshold()
         # Lifetime counters, surfaced by the pipeline stats and benchmarks.
         self.decoded_syndromes = 0     # _decode_fired invocations
         self.memo_hits = 0             # cross-batch memo hits
@@ -189,15 +153,8 @@ class BatchDecoderBase:
         """Memoised decode of one sparse syndrome."""
         return self._decode_canonical(tuple(sorted(int(i) for i in fired)))
 
-    def _decode_canonical(self, key: Syndrome,
-                          _precomputed: Optional[dict] = None) -> FrozenSet[int]:
-        """Memoised decode of an already-canonical (sorted int tuple) syndrome.
-
-        ``_precomputed`` carries parities a fanned batch already computed
-        off-thread; the memo/counter bookkeeping below still runs here, in
-        the caller's deterministic order, so fanned and serial batches are
-        indistinguishable in results *and* counters.
-        """
+    def _decode_canonical(self, key: Syndrome) -> FrozenSet[int]:
+        """Memoised decode of an already-canonical (sorted int tuple) syndrome."""
         if not key:
             return frozenset()
         memo = self._syndrome_memo
@@ -212,10 +169,7 @@ class BatchDecoderBase:
             memo.pop(key)
             memo[key] = hit
             return hit
-        if _precomputed is not None and key in _precomputed:
-            parity = _precomputed[key]
-        else:
-            parity = self._decode_fired(key)
+        parity = self._decode_fired(key)
         self.decoded_syndromes += 1
         if self._syndrome_memo_limit > 0:
             if len(memo) >= self._syndrome_memo_limit:
@@ -256,18 +210,8 @@ class BatchDecoderBase:
             keys.append(key)
             if key not in distinct:
                 distinct[key] = None
-        precomputed = None
-        if self._decode_fanout > 0:
-            unknown = [k for k in distinct if k not in self._syndrome_memo]
-            if len(unknown) >= self._decode_fanout:
-                # Fan the expensive _decode_fired calls across threads; the
-                # memo inserts and counters happen in the serial loop below,
-                # in batch order, so results are bit-identical to serial.
-                precomputed = dict(
-                    zip(unknown, _fanout_pool().map(self._decode_fired,
-                                                    unknown)))
         for key in distinct:
-            distinct[key] = self._decode_canonical(key, precomputed)
+            distinct[key] = self._decode_canonical(key)
         return [distinct[key] if key else empty for key in keys]
 
     # ------------------------------------------------------------------

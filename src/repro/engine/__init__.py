@@ -40,7 +40,7 @@ from .backends import (
     create_backend,
 )
 from .cache import ResultCache
-from .pipeline import DecodingPipeline, PipelineStats, default_chunk_shots
+from .pipeline import DecodingPipeline, PipelineStats
 from .executor import (
     Engine,
     EngineConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "create_backend",
     "DecodingPipeline",
     "PipelineStats",
-    "default_chunk_shots",
     "Engine",
     "EngineConfig",
     "FusionStats",

@@ -12,6 +12,12 @@ anything.
 Writes are atomic (temp file + ``os.replace``), so a crashed or concurrent
 run can never leave a half-written record that later parses as valid.
 Unparseable files are treated as misses, never as errors.
+
+Every record kind (LER result, yield result, patch samples, syndrome memo)
+goes through one pair: :meth:`ResultCache.store` writes the common
+``kind``/``task_hash`` header next to the caller's fields, and
+:meth:`ResultCache.load` checks that header and hands the record to the
+caller's decoder, turning any malformed field into a miss.
 """
 
 from __future__ import annotations
@@ -20,11 +26,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .tasks import ENGINE_SCHEMA_VERSION
 
 __all__ = ["ResultCache"]
+
+T = TypeVar("T")
 
 
 class ResultCache:
@@ -82,6 +90,27 @@ class ResultCache:
             except OSError:
                 pass
             raise
+
+    def store(self, key: str, kind: str, task_hash: str, **fields) -> None:
+        """Write a ``kind`` record for the task ``task_hash`` with ``fields``."""
+        self.put(key, {"kind": kind, "task_hash": task_hash, **fields})
+
+    def load(self, key: str, kind: str, task_hash: str,
+             decode: Callable[[dict], T]) -> Optional[T]:
+        """``decode(record)`` of a :meth:`store`-d record, or None on a miss.
+
+        A missing or unreadable record, a ``kind`` or ``task_hash`` that
+        does not match, and a record whose fields ``decode`` cannot read
+        are all misses: the caller recomputes and overwrites.
+        """
+        record = self.get(key)
+        if (record is None or record.get("kind") != kind
+                or record.get("task_hash") != task_hash):
+            return None
+        try:
+            return decode(record)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns True if it existed."""

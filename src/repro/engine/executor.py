@@ -30,6 +30,7 @@ another machine get the same treatment.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -565,9 +566,6 @@ def seeded_task_key(task, fp) -> str:
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
 
 
-_seeded_task_key = seeded_task_key  # backward-compatible private alias
-
-
 def ler_cache_key(task: LerPointTask, seed: Seed, policy: ShotPolicy,
                   shard_size: int) -> Optional[str]:
     """Cache key of one LER run: everything that determines the numbers.
@@ -591,18 +589,18 @@ def ler_cache_key(task: LerPointTask, seed: Seed, policy: ShotPolicy,
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
 
 
-def _ler_cache_record(task: LerPointTask, result: "LerResult") -> dict:
-    """The on-disk record for one LER result (single shape for all writers)."""
-    return {
-        "kind": task.kind,
-        "task_hash": task.content_hash(),
-        "task": task.payload(),
-        "failures": result.failures,
-        "shots": result.shots,
-        "num_detectors": result.num_detectors,
-        "num_dem_errors": result.num_dem_errors,
-        "num_shards": result.num_shards,
-    }
+#: The counts an LER cache record carries besides its header and task.
+_LER_RECORD_FIELDS = ("failures", "shots", "num_detectors", "num_dem_errors",
+                      "num_shards")
+
+
+def _ler_from_record(task: LerPointTask, record: dict) -> LerResult:
+    return LerResult(task=task, from_cache=True,
+                     **{name: int(record[name]) for name in _LER_RECORD_FIELDS})
+
+
+def _counts_from_record(raw: dict) -> Dict[int, int]:
+    return {int(d): int(c) for d, c in raw.items()}
 
 
 # ----------------------------------------------------------------------
@@ -656,6 +654,24 @@ class Engine:
     def _cache_key(self, task, seed: Seed, policy: ShotPolicy) -> Optional[str]:
         """This engine's key for one LER run (see :func:`ler_cache_key`)."""
         return ler_cache_key(task, seed, policy, self.config.shard_size)
+
+    def _seeded_key(self, task, fp) -> Optional[str]:
+        """Cache key of a seeded yield/patch run; None when not cacheable."""
+        if self._cache is None or fp is None:
+            return None
+        return seeded_task_key(task, fp)
+
+    def _load(self, key: Optional[str], task, decode):
+        """``decode`` of ``task``'s cached record under ``key``, or None."""
+        if key is None:
+            return None
+        return self._cache.load(key, task.kind, task.content_hash(), decode)
+
+    def _store(self, key: Optional[str], task, **fields) -> None:
+        """Cache ``task``'s result ``fields`` under ``key`` (None: no-op)."""
+        if key is not None:
+            self._cache.store(key, task.kind, task.content_hash(),
+                              task=task.payload(), **fields)
 
     def starmap(self, fn, jobs: Sequence[tuple]) -> List:
         """Run ``fn(*job)`` for every job, in order, on the backend.
@@ -760,7 +776,8 @@ class Engine:
         for i, item in enumerate(items):
             key = (self._cache_key(item.task, item.seed, item.policy)
                    if self._cache is not None else None)
-            hit = self._load_cached_ler(item.task, key) if key is not None else None
+            hit = self._load(key, item.task,
+                             functools.partial(_ler_from_record, item.task))
             if hit is not None:
                 results[i] = hit
                 continue
@@ -775,8 +792,9 @@ class Engine:
     def _finish_sweep_run(self, run: _SweepTaskRun, result: LerResult,
                           results: List[Optional[LerResult]]) -> None:
         results[run.index] = result
-        if run.key is not None:
-            self._cache.put(run.key, _ler_cache_record(run.item.task, result))
+        self._store(run.key, run.item.task,
+                    **{name: getattr(result, name)
+                       for name in _LER_RECORD_FIELDS})
 
     def _run_sweep_backend(self, runs: List[_SweepTaskRun],
                            results: List[Optional[LerResult]],
@@ -898,23 +916,6 @@ class Engine:
             raise ValueError("specify exactly one of shots= or policy=")
         return policy if policy is not None else ShotPolicy.fixed(shots)
 
-    def _load_cached_ler(self, task: LerPointTask, key: str) -> Optional[LerResult]:
-        record = self._cache.get(key)
-        if record is None or record.get("task_hash") != task.content_hash():
-            return None
-        try:
-            return LerResult(
-                task=task,
-                failures=int(record["failures"]),
-                shots=int(record["shots"]),
-                num_detectors=int(record["num_detectors"]),
-                num_dem_errors=int(record["num_dem_errors"]),
-                num_shards=int(record["num_shards"]),
-                from_cache=True,
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
     # ------------------------------------------------------------------
     # Patch-sample tasks
     # ------------------------------------------------------------------
@@ -927,26 +928,17 @@ class Engine:
         crosses the process boundary or lands in the cache.
         """
         fp = seed_fingerprint(seed)
-        key = None
-        if self._cache is not None and fp is not None:
-            key = _seeded_task_key(task, fp)
-            record = self._cache.get(key)
-            if record is not None and record.get("task_hash") == task.content_hash():
-                try:
-                    return self._rebuild_patches(task, record["accepted"])
-                except (KeyError, TypeError, ValueError):
-                    pass
+        key = self._seeded_key(task, fp)
+        patches = self._load(key, task, lambda record: self._rebuild_patches(
+            task, record["accepted"]))
+        if patches is not None:
+            return patches
 
         accepted = self._sample_patch_specs(task, fp)
-        if key is not None:
-            self._cache.put(key, {
-                "kind": task.kind,
-                "task_hash": task.content_hash(),
-                "task": task.payload(),
-                "accepted": [[idx, [list(q) for q in qubits],
-                              [[list(a), list(b)] for a, b in links]]
-                             for idx, qubits, links in accepted],
-            })
+        self._store(key, task,
+                    accepted=[[idx, [list(q) for q in qubits],
+                               [[list(a), list(b)] for a, b in links]]
+                              for idx, qubits, links in accepted])
         return self._rebuild_patches(task, accepted)
 
     def _sample_patch_specs(self, task: PatchSampleTask, fp) -> list:
@@ -991,58 +983,39 @@ class Engine:
         split.  Seeded runs land in the on-disk result cache under the
         task's content hash, exactly like LER tasks.
         """
-        from ..chiplet.yield_model import YieldResult
+        from ..chiplet.yield_model import (YieldResult, merge_yield_blocks,
+                                           yield_block_ranges)
 
+        result_for = functools.partial(
+            YieldResult, chiplet_size=task.chiplet_size,
+            defect_rate=task.defect_rate,
+            defect_model_kind=task.defect_model_kind)
         fp = seed_fingerprint(seed)
-        key = None
-        if self._cache is not None and fp is not None:
-            key = _seeded_task_key(task, fp)
-            record = self._cache.get(key)
-            if record is not None and record.get("task_hash") == task.content_hash():
-                try:
-                    return YieldResult(
-                        chiplet_size=task.chiplet_size,
-                        defect_rate=task.defect_rate,
-                        defect_model_kind=task.defect_model_kind,
-                        samples=int(record["samples"]),
-                        accepted=int(record["accepted"]),
-                        distance_counts={int(d): int(c) for d, c in
-                                         record["distance_counts"].items()},
-                        accepted_distance_counts={int(d): int(c) for d, c in
-                                                  record["accepted_distance_counts"].items()},
-                        from_cache=True,
-                    )
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    pass
-
-        from ..chiplet.yield_model import merge_yield_blocks, yield_block_ranges
+        key = self._seeded_key(task, fp)
+        cached = self._load(key, task, lambda record: result_for(
+            samples=int(record["samples"]),
+            accepted=int(record["accepted"]),
+            distance_counts=_counts_from_record(record["distance_counts"]),
+            accepted_distance_counts=_counts_from_record(
+                record["accepted_distance_counts"]),
+            from_cache=True))
+        if cached is not None:
+            return cached
 
         jobs = [(task, fp, start, stop)
                 for start, stop in yield_block_ranges(
                     task.samples, self.parallel_slots)]
         accepted, distance_counts, accepted_counts = merge_yield_blocks(
             self.starmap(_run_yield_block, jobs))
-        result = YieldResult(
-            chiplet_size=task.chiplet_size,
-            defect_rate=task.defect_rate,
-            defect_model_kind=task.defect_model_kind,
-            samples=task.samples,
-            accepted=accepted,
-            distance_counts=distance_counts,
-            accepted_distance_counts=accepted_counts,
-        )
-        if key is not None:
-            self._cache.put(key, {
-                "kind": task.kind,
-                "task_hash": task.content_hash(),
-                "task": task.payload(),
-                "samples": result.samples,
-                "accepted": result.accepted,
-                "distance_counts": {str(d): c for d, c in
-                                    sorted(result.distance_counts.items())},
-                "accepted_distance_counts": {str(d): c for d, c in
-                                             sorted(result.accepted_distance_counts.items())},
-            })
+        result = result_for(samples=task.samples, accepted=accepted,
+                            distance_counts=distance_counts,
+                            accepted_distance_counts=accepted_counts)
+        self._store(key, task, samples=result.samples,
+                    accepted=result.accepted,
+                    distance_counts={str(d): c for d, c in
+                                     distance_counts.items()},
+                    accepted_distance_counts={str(d): c for d, c in
+                                              accepted_counts.items()})
         return result
 
     @staticmethod

@@ -6,11 +6,11 @@ into a failure count for one circuit:
 * a :class:`~repro.stabilizer.packed.PackedFrameSimulator` samples the
   detector record into bit-packed rows (64 shots per ``uint64`` word — the
   frame never materialises a dense boolean matrix);
-* shots stream through the decoder in fixed-size chunks
-  (``REPRO_CHUNK_SHOTS``, default 1024): each chunk is extracted *sparsely*
-  (per-shot fired-detector index tuples) straight from the packed words, so
-  the decode stage never materialises a dense boolean matrix and its peak
-  memory is bounded by the chunk.  (Sampling itself is per-shard — chunked
+* shots stream through the decoder in fixed-size chunks (``CHUNK_SHOTS``,
+  1024, unless the ``chunk_shots`` argument says otherwise): each chunk is
+  extracted *sparsely* (per-shot fired-detector index tuples) straight from
+  the packed words, so the decode stage never materialises a dense boolean
+  matrix and its peak memory is bounded by the chunk.  (Sampling itself is per-shard — chunked
   sampling would change the RNG draw order and break bit-identity — but the
   packed record is 8x smaller than the historical boolean arrays, and shard
   size is already capped by ``REPRO_SHARD_SIZE``.);
@@ -28,14 +28,15 @@ adaptive wave scheduler re-enter a warm pipeline wave after wave.
 
 **Syndrome-memo persistence**: the decoder's cross-batch memo is the
 product of real decode work — at d=5 a cold worker re-pays thousands of
-Dijkstra-seeded matchings before its memo warms up.  When a content-
-addressed cache directory is known (``memo_preload`` /
-``attach_memo_store``), the pipeline saves the memo into it after runs
-(atomic ``ResultCache`` writes keyed by task hash + decoder name) and a
-fresh pipeline for the same task imports it before its first shard, so
-restarted service workers and remote socket workers skip the cold-start
-rebuild.  Persistence never changes numbers — decoding is a pure function
-of the syndrome — and is gated by ``REPRO_MEMO_PERSIST`` (default on).
+Dijkstra-seeded matchings before its memo warms up.  Whenever a content-
+addressed cache directory is known (``memo_preload``, else ``REPRO_CACHE``),
+the pipeline saves the memo into it after runs (a ``syndrome_memo`` record
+written through :meth:`~repro.engine.cache.ResultCache.store`, keyed by task
+hash + decoder name) and a fresh pipeline for the same task imports it
+before its first shard, so restarted service workers and remote socket
+workers skip the cold-start rebuild.  A malformed record is a miss, like
+any other cache record.  Persistence never changes numbers — decoding is a
+pure function of the syndrome.
 
 Determinism: the packed simulator draws the same RNG variates in the same
 order as the unpacked one, and decoding is a pure function of each shot's
@@ -51,32 +52,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..decoder.base import BatchDecoderBase
-from ..env import env_int, env_str
+from ..env import env_str
 from ..stabilizer.circuit import Circuit
 from ..stabilizer.packed import PackedFrameSimulator
 from .cache import ResultCache
 from .rng import Seed
 
-__all__ = ["DecodingPipeline", "PipelineStats", "default_chunk_shots",
-           "memo_cache_key", "memo_persist_enabled", "memo_preload"]
+__all__ = ["DecodingPipeline", "PipelineStats", "memo_cache_key",
+           "memo_preload"]
 
-_DEFAULT_CHUNK_SHOTS = 1024
+#: Shots per decode chunk: bounds peak decode memory, never changes results.
+CHUNK_SHOTS = 1024
 
-
-def default_chunk_shots(env=None) -> int:
-    """Pipeline chunk size from ``REPRO_CHUNK_SHOTS`` (default 1024)."""
-    return env_int("REPRO_CHUNK_SHOTS", _DEFAULT_CHUNK_SHOTS,
-                   minimum=1, env=env)
-
-
-def memo_persist_enabled(env=None) -> bool:
-    """Whether syndrome-memo persistence is on (``REPRO_MEMO_PERSIST``).
-
-    Default on — persistence is a pure warm-up optimisation that never
-    changes numbers.  Set ``REPRO_MEMO_PERSIST=0`` to keep memos purely
-    in-process (e.g. when benchmarking cold-start behaviour).
-    """
-    return env_int("REPRO_MEMO_PERSIST", 1, minimum=0, env=env) > 0
+_MEMO_KIND = "syndrome_memo"
 
 
 def memo_cache_key(task_hash: str, decoder_name: str) -> str:
@@ -110,9 +98,7 @@ def memo_preload(cache_dir: Optional[str]) -> None:
 
 
 def _memo_cache() -> Optional[ResultCache]:
-    """The memo store for this process, or None when persistence is off."""
-    if not memo_persist_enabled():
-        return None
+    """The memo store for this process, or None when no cache is known."""
     root = _MEMO_CACHE_DIR or env_str("REPRO_CACHE")
     return ResultCache(root) if root else None
 
@@ -179,11 +165,9 @@ class DecodingPipeline:
         circuit: Circuit,
         decoder: BatchDecoderBase,
         *,
-        chunk_shots: Optional[int] = None,
+        chunk_shots: int = CHUNK_SHOTS,
         rng_mode: str = "exact",
     ):
-        if chunk_shots is None:
-            chunk_shots = default_chunk_shots()
         if chunk_shots <= 0:
             raise ValueError("chunk_shots must be positive")
         self.circuit = circuit
@@ -216,10 +200,10 @@ class DecodingPipeline:
         self._memo_task_hash = task_hash
         self._memo_decoder_name = decoder_name
         self._memo_key = memo_cache_key(task_hash, decoder_name)
-        record = cache.get(self._memo_key)
-        if record and record.get("kind") == "syndrome_memo":
-            self.preloaded_memo_entries = self.decoder.import_memo(
-                record.get("entries", []))
+        entries = cache.load(self._memo_key, _MEMO_KIND, task_hash,
+                             lambda record: list(record["entries"]))
+        if entries is not None:
+            self.preloaded_memo_entries = self.decoder.import_memo(entries)
         self._memo_saved_decodes = self.decoder.decoded_syndromes
         return self.preloaded_memo_entries
 
@@ -235,12 +219,10 @@ class DecodingPipeline:
         decoded = self.decoder.decoded_syndromes
         if decoded == self._memo_saved_decodes:
             return False
-        self._memo_store.put(self._memo_key, {
-            "kind": "syndrome_memo",
-            "task_hash": self._memo_task_hash,
-            "decoder": self._memo_decoder_name,
-            "entries": self.decoder.export_memo(),
-        })
+        self._memo_store.store(self._memo_key, _MEMO_KIND,
+                               self._memo_task_hash,
+                               decoder=self._memo_decoder_name,
+                               entries=self.decoder.export_memo())
         self._memo_saved_decodes = decoded
         return True
 

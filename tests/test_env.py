@@ -1,7 +1,7 @@
 """Validated ``REPRO_*`` environment parsing.
 
 Three helpers back every knob: :func:`repro.env.env_int` for the integer
-variables (``REPRO_WORKERS``, ``REPRO_SHARD_SIZE``, ``REPRO_CHUNK_SHOTS``,
+variables (``REPRO_WORKERS``, ``REPRO_SHARD_SIZE``,
 ``REPRO_SYNDROME_CACHE``), :func:`repro.env.env_choice` for the enumerated
 ``REPRO_BACKEND`` and :func:`repro.env.env_hosts` for the ``REPRO_HOSTS``
 worker list — so garbage and out-of-range values fail fast with the
@@ -13,7 +13,6 @@ import pytest
 
 from repro.decoder.base import syndrome_cache_limit
 from repro.engine.executor import EngineConfig
-from repro.engine.pipeline import default_chunk_shots
 from repro.env import env_choice, env_float, env_hosts, env_int, env_str
 from repro.service.config import (
     service_aging_rate,
@@ -64,17 +63,6 @@ class TestSyndromeCacheLimit:
     def test_garbage_rejected_with_name(self):
         with pytest.raises(ValueError, match="REPRO_SYNDROME_CACHE"):
             syndrome_cache_limit(env={"REPRO_SYNDROME_CACHE": "lots"})
-
-
-class TestChunkShots:
-    def test_default_and_valid(self):
-        assert default_chunk_shots(env={}) == 1024
-        assert default_chunk_shots(env={"REPRO_CHUNK_SHOTS": "17"}) == 17
-
-    @pytest.mark.parametrize("raw", ["0", "-5", "many"])
-    def test_invalid_rejected_with_name(self, raw):
-        with pytest.raises(ValueError, match="REPRO_CHUNK_SHOTS"):
-            default_chunk_shots(env={"REPRO_CHUNK_SHOTS": raw})
 
 
 class TestEnvChoice:

@@ -1,15 +1,13 @@
-"""Syndrome-memo LRU, decode fanout, and on-disk memo persistence.
+"""Syndrome-memo LRU and on-disk memo persistence.
 
-Three decode-side behaviours ride the fast-RNG PR:
+Two decode-side behaviours:
 
 * the cross-batch syndrome memo evicts least-recently-used (hits refresh
   recency) instead of FIFO, so hot syndromes survive long varied sweeps;
-* batches with many unknown syndromes can fan ``_decode_fired`` across a
-  thread pool (``REPRO_DECODE_FANOUT``) with bit-identical results *and*
-  counters;
 * the memo round-trips through the content-addressed on-disk cache
   (keyed by task hash + decoder name), so a restarted worker's first
-  shard starts warm (``memo_size > 0`` before any decode).
+  shard starts warm (``memo_size > 0`` before any decode), and a
+  malformed persisted memo is a cache miss, never a crash.
 """
 
 import numpy as np
@@ -17,15 +15,10 @@ import pytest
 
 import repro.engine.executor as ex
 from repro.core import adapt_patch
-from repro.decoder.base import BatchDecoderBase, decode_fanout_threshold
-from repro.engine import LerPointTask
+from repro.decoder.base import BatchDecoderBase
+from repro.engine import Engine, EngineConfig, LerPointTask
 from repro.engine.cache import ResultCache
-from repro.engine.pipeline import (
-    DecodingPipeline,
-    memo_cache_key,
-    memo_persist_enabled,
-    memo_preload,
-)
+from repro.engine.pipeline import DecodingPipeline, memo_cache_key, memo_preload
 from repro.noise import DefectSet
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -53,8 +46,6 @@ def _task(p=0.003, decoder="mwpm"):
 def _clean_memo_state(monkeypatch):
     """Isolate each test from ambient cache config and warm task memos."""
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_MEMO_PERSIST", raising=False)
-    monkeypatch.delenv("REPRO_DECODE_FANOUT", raising=False)
     memo_preload(None)
     ex._TASK_MEMO.clear()
     yield
@@ -136,46 +127,6 @@ class TestMemoExportImport:
 
 
 # ----------------------------------------------------------------------
-# Decode fanout
-# ----------------------------------------------------------------------
-class TestDecodeFanout:
-    def test_env_validation(self):
-        assert decode_fanout_threshold(env={}) == 0
-        assert decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "8"}) == 8
-        with pytest.raises(ValueError, match="REPRO_DECODE_FANOUT"):
-            decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "-1"})
-        with pytest.raises(ValueError, match="REPRO_DECODE_FANOUT"):
-            decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "many"})
-
-    def test_fanned_batch_bit_identical(self, monkeypatch):
-        # A real d=3 pipeline run with aggressive fanout must reproduce the
-        # serial failures AND the serial memo/counter bookkeeping.
-        task = _task(0.01)
-        circuit = task.build_circuit()
-
-        def run():
-            ex._TASK_MEMO.clear()
-            pipeline, _ = ex._context_for(task)
-            stats = pipeline.run(4000, seed=20240427)
-            dec = pipeline.decoder
-            return (stats.failures, stats.distinct_syndromes,
-                    stats.memo_hits, dec.memo_size, dec.decoded_syndromes)
-
-        serial = run()
-        monkeypatch.setenv("REPRO_DECODE_FANOUT", "1")
-        fanned = run()
-        assert fanned == serial
-        assert circuit.num_detectors > 0  # sanity: real decode happened
-
-    def test_fanout_only_above_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_FANOUT", "3")
-        dec = CountingDecoder()
-        out = dec.decode_fired_batch([(1,), (2,)])
-        assert out == [frozenset({1}), frozenset({0})]
-        assert dec.decoded_syndromes == 2
-
-
-# ----------------------------------------------------------------------
 # On-disk persistence
 # ----------------------------------------------------------------------
 class TestMemoPersistence:
@@ -248,16 +199,27 @@ class TestMemoPersistence:
         key = memo_cache_key(task.content_hash(), task.decoder)
         assert ResultCache(str(override)).get(key) is not None
 
-    def test_persistence_gate(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_MEMO_PERSIST", "0")
-        assert memo_persist_enabled() is False
-        task = _task()
-        p1, _ = ex._context_for(task)
-        p1.run(2000, seed=3)
-        assert p1.persist_memo() is False    # never attached
+    @pytest.mark.parametrize("entries", [None, 5, {}])
+    def test_malformed_memo_record_is_a_miss(self, tmp_path, monkeypatch,
+                                             entries):
+        # A record with the current schema, kind and task hash but unusable
+        # entries must neither crash the run nor change its numbers.
+        task = _task(0.01)
+        engine = Engine(EngineConfig(backend="serial"))
+        ref = engine.run_ler(task, shots=2000, seed=9)
+        ex._TASK_MEMO.clear()
+        cache = ResultCache(str(tmp_path))
         key = memo_cache_key(task.content_hash(), task.decoder)
-        assert ResultCache(str(tmp_path)).get(key) is None
+        cache.put(key, {"kind": "syndrome_memo",
+                        "task_hash": task.content_hash(),
+                        "decoder": task.decoder, "entries": entries})
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        got = engine.run_ler(task, shots=2000, seed=9)
+        assert (got.failures, got.shots, got.num_shards) \
+            == (ref.failures, ref.shots, ref.num_shards)
+        pipeline, _ = ex._context_for(task)
+        assert pipeline.preloaded_memo_entries == 0
+        assert cache.get(key)["entries"]     # rewritten by the run
 
     def test_unionfind_memo_isolated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.adaptation import adapt_patch
 from repro.decoder import MwpmDecoder, UnionFindDecoder
-from repro.engine import DecodingPipeline, PipelineStats, default_chunk_shots
+from repro.engine import DecodingPipeline, PipelineStats
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -56,15 +56,6 @@ class TestChunkInvariance:
             assert stats.shots == shots
             assert stats.chunks == -(-shots // chunk)
         assert len(set(tallies.values())) == 1, tallies
-
-    def test_env_knob_sets_default_chunk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SHOTS", "17")
-        assert default_chunk_shots() == 17
-        circuit = _circuit()
-        assert DecodingPipeline(circuit, _decoder(circuit)).chunk_shots == 17
-        monkeypatch.setenv("REPRO_CHUNK_SHOTS", "0")
-        with pytest.raises(ValueError):
-            default_chunk_shots()
 
     def test_invalid_chunk_rejected(self):
         circuit = _circuit()
