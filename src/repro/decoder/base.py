@@ -87,6 +87,7 @@ class BatchDecoderBase:
         self._syndrome_memo_limit = syndrome_cache_limit()
         # Lifetime counters, surfaced by the pipeline stats and benchmarks.
         self.decoded_syndromes = 0     # _decode_fired invocations
+        self.blossom_calls = 0         # MWPM syndromes solved by blossom
         self.memo_hits = 0             # cross-batch memo hits
         self.memo_evictions = 0        # LRU evictions once the memo is full
         self.shots_decoded = 0         # shots routed through the batch path

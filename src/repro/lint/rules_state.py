@@ -8,10 +8,10 @@ repo's fan-out paths:
   means cross-task leakage.  Flagged unconditionally.
 * **module-level mutable containers mutated without a lock** in modules
   that run threads.  The socket worker serves each connection on its own
-  thread and the decode fan-out runs a thread pool, so process-wide
-  registries (the pool registry, the task-context memo) are genuinely
-  reachable concurrently.  In any module that imports :mod:`threading` or
-  :mod:`concurrent.futures`, a mutation of a module-level ``dict`` /
+  thread and the service API handles each request on its own thread, so
+  process-wide registries (the pool registry, the task-context memo) are
+  genuinely reachable concurrently.  In any module that imports
+  :mod:`threading` or :mod:`concurrent.futures`, a mutation of a module-level ``dict`` /
   ``list`` / ``set`` binding (``x[k] = v``, ``x.pop(...)``,
   ``x.append(...)``, ``del x[k]``…) from inside a function is flagged
   unless it sits lexically inside a ``with`` block whose context
