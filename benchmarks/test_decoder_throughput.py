@@ -1,7 +1,7 @@
 """Decoder throughput benchmark: batched pipeline vs per-shot baseline.
 
 Measures decode throughput (shots per second) for defect-free d=3 and d=5
-memory circuits at p = 1e-3, for both decoders, comparing
+memory circuits at p = 1e-3 for the MWPM decoder, comparing
 
 * the **batched pipeline path** — sparse syndrome extraction plus the
   deduplicating ``decode_fired_batch`` (what every engine shard runs), and
@@ -21,7 +21,7 @@ in practice is far larger — most shots dedup away).
 import time
 
 from repro.core.adaptation import adapt_patch
-from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
+from repro.decoder import MatchingGraph, MwpmDecoder
 from repro.decoder.base import syndrome_cache_limit
 from repro.decoder.reference import reference_mwpm_decode
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -76,66 +76,54 @@ def test_decoder_throughput(benchmark, benchmark_seed):
             dense = samples.detectors
             fired = samples.fired_detectors()
 
-            for name, make in (("mwpm", MwpmDecoder), ("unionfind", UnionFindDecoder)):
-                graph = MatchingGraph(dem)
-                decoder = make(graph)
-                batched = _throughput(
-                    lambda: decoder.decode_fired_batch(fired), shots)
-                # Syndrome-memo health of the batched run: hits/evictions/
-                # final size land in the BENCH artifact so
-                # REPRO_SYNDROME_CACHE can be tuned from CI data (steady
-                # evictions at a pinned memo size mean the working set of
-                # distinct syndromes no longer fits).
-                memo = {
-                    "distinct_syndromes": decoder.decoded_syndromes,
-                    "memo_hits": decoder.memo_hits,
-                    "memo_evictions": decoder.memo_evictions,
-                    "memo_size": decoder.memo_size,
-                }
+            decoder = MwpmDecoder(MatchingGraph(dem))
+            batched = _throughput(
+                lambda: decoder.decode_fired_batch(fired), shots)
+            # Syndrome-memo health of the batched run: hits/evictions/
+            # final size land in the BENCH artifact so
+            # REPRO_SYNDROME_CACHE can be tuned from CI data (steady
+            # evictions at a pinned memo size mean the working set of
+            # distinct syndromes no longer fits).
+            memo = {
+                "distinct_syndromes": decoder.decoded_syndromes,
+                "memo_hits": decoder.memo_hits,
+                "memo_evictions": decoder.memo_evictions,
+                "memo_size": decoder.memo_size,
+            }
 
-                base_shots = min(shots, _BASELINE_SHOTS)
-                if name == "mwpm":
-                    base_graph = MatchingGraph(dem)
-                    baseline = _throughput(
-                        lambda: [reference_mwpm_decode(base_graph, dense[s])
-                                 for s in range(base_shots)],
-                        base_shots)
-                else:
-                    base = make(MatchingGraph(dem))
-                    baseline = _throughput(
-                        lambda: [base._decode_fired(f) if f else frozenset()
-                                 for f in fired[:base_shots]],
-                        base_shots)
+            base_shots = min(shots, _BASELINE_SHOTS)
+            base_graph = MatchingGraph(dem)
+            baseline = _throughput(
+                lambda: [reference_mwpm_decode(base_graph, dense[s])
+                         for s in range(base_shots)],
+                base_shots)
 
-                speedup = batched / baseline
-                speedups[(distance, name)] = speedup
-                rows.append((f"d={distance} {name}",
-                             f"batched {batched:9.0f} shots/s, "
-                             f"per-shot {baseline:8.0f} shots/s, "
-                             f"speedup {speedup:6.1f}x, "
-                             f"memo {memo['memo_hits']} hits / "
-                             f"{memo['memo_evictions']} evictions"))
-                series.append({
-                    "label": f"d={distance} {name}",
-                    "distance": distance,
-                    "decoder": name,
-                    "shots": shots,
-                    "batched_shots_per_sec": batched,
-                    "per_shot_shots_per_sec": baseline,
-                    "speedup": speedup,
-                    **memo,
-                })
+            speedup = batched / baseline
+            speedups[distance] = speedup
+            rows.append((f"d={distance} mwpm",
+                         f"batched {batched:9.0f} shots/s, "
+                         f"per-shot {baseline:8.0f} shots/s, "
+                         f"speedup {speedup:6.1f}x, "
+                         f"memo {memo['memo_hits']} hits / "
+                         f"{memo['memo_evictions']} evictions"))
+            series.append({
+                "label": f"d={distance} mwpm",
+                "distance": distance,
+                "decoder": "mwpm",
+                "shots": shots,
+                "batched_shots_per_sec": batched,
+                "per_shot_shots_per_sec": baseline,
+                "speedup": speedup,
+                **memo,
+            })
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     print_series(f"Decoder throughput (p={_P})", rows)
     write_bench_json("decoder_throughput", series, physical_error_rate=_P,
-                     gates={"d3_mwpm": 5.0, "d5_mwpm": 5.0,
-                            "d5_unionfind": 2.0},
+                     gates={"d3_mwpm": 5.0, "d5_mwpm": 5.0},
                      syndrome_cache_limit=syndrome_cache_limit())
 
     # Acceptance criterion of the batched-decoding PR: >= 5x at p=1e-3.
-    assert speedups[(3, "mwpm")] >= 5.0, speedups
-    assert speedups[(5, "mwpm")] >= 5.0, speedups
-    # The UF dedup path must also win clearly at low p.
-    assert speedups[(5, "unionfind")] >= 2.0, speedups
+    assert speedups[3] >= 5.0, speedups
+    assert speedups[5] >= 5.0, speedups

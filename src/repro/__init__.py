@@ -4,7 +4,7 @@ modular chiplets in the presence of defects" (Lin et al., ASPLOS 2024).
 The package is organised as:
 
 * :mod:`repro.stabilizer` - stabilizer-circuit substrate (Stim replacement).
-* :mod:`repro.decoder` - MWPM / union-find decoders (PyMatching replacement).
+* :mod:`repro.decoder` - MWPM decoder (PyMatching replacement).
 * :mod:`repro.surface_code` - rotated surface-code layouts and circuits.
 * :mod:`repro.noise` - fabrication-defect and circuit-level noise models.
 * :mod:`repro.core` - the paper's contribution: defect adaptation,

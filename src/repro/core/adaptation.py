@@ -12,8 +12,8 @@ component, using
   enclosed by gauge operators - the affected region is excised and the
   surrounding reduced checks become the new (deformed) boundary stabilizers.
 
-Algorithm (re-derivation of the paper's prose; see DESIGN.md Sec. 5)
----------------------------------------------------------------------
+Algorithm (re-derivation of the prose of the paper's Sec. 3)
+------------------------------------------------------------
 The procedure is a fixpoint over three monotone state components: the set of
 *excised* data qubits, the set of *excised* ancillas, and the set of defect
 clusters designated for *boundary handling*.

@@ -1,4 +1,4 @@
-"""Shared batched-decoding machinery for the MWPM and union-find decoders.
+"""Batched-decoding machinery behind :class:`~repro.decoder.matching.MwpmDecoder`.
 
 Per-shot decoding wastes most of its work at realistic physical error rates:
 the large majority of shots produce the *empty* syndrome, and the non-empty
@@ -27,8 +27,7 @@ syndrome to the *parity set* of flipped logical observables (a frozenset, so
 predictions are hashable and memoisable).  Decoding runs serially in the
 calling thread: ``_decode_fired`` is pure-Python matching, so threads would
 only contend for the GIL.  Everything else — dense and sparse batch entry
-points, the legacy one-shot ``decode``, result packing — lives here, shared
-by both decoders.
+points, the legacy one-shot ``decode``, result packing — lives here.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class BatchDecoderBase:
         self._syndrome_memo_limit = syndrome_cache_limit()
         # Lifetime counters, surfaced by the pipeline stats and benchmarks.
         self.decoded_syndromes = 0     # _decode_fired invocations
-        self.blossom_calls = 0         # MWPM syndromes solved by blossom
+        self.blossom_calls = 0         # syndromes solved by networkx blossom
         self.memo_hits = 0             # cross-batch memo hits
         self.memo_evictions = 0        # LRU evictions once the memo is full
         self.shots_decoded = 0         # shots routed through the batch path

@@ -16,8 +16,8 @@ This replaces PyMatching.  The decoder operates in two stages:
    The graph also owns the decoder's *geodesic cache*: single-source Dijkstra
    sweeps (distances + predecessors) are computed lazily, once per source
    detector, and the observable parity of each detector-pair geodesic is
-   memoised as a frozenset.  All shots — and all batches, and both decoders —
-   share these caches.
+   memoised as a frozenset.  All shots — and all batches — share these
+   caches.
 
 2. :class:`MwpmDecoder` decodes *distinct* syndromes (the deduplicating batch
    machinery lives in :class:`~repro.decoder.base.BatchDecoderBase`).  A
@@ -239,15 +239,6 @@ class MatchingGraph:
     def observables_on_edge(self, u: int, v: int) -> Tuple[int, ...]:
         edge = self.edge_between(u, v)
         return edge.observables if edge is not None else ()
-
-    def to_networkx(self) -> nx.Graph:
-        """Full detector graph as a networkx graph (used by the UF decoder)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_detectors + 1))
-        for (u, v), e in self._edges.items():
-            g.add_edge(u, v, weight=e.weight, probability=e.probability,
-                       observables=e.observables)
-        return g
 
     # ------------------------------------------------------------------
     # Geodesic cache

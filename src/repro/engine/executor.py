@@ -43,7 +43,6 @@ from ..analysis.stats import BinomialEstimate
 from ..core.patch import AdaptedPatch
 from ..env import env_choice, env_hosts, env_int, env_str
 from ..decoder.matching import MatchingGraph, MwpmDecoder
-from ..decoder.unionfind import UnionFindDecoder
 from ..stabilizer.dem import build_detector_error_model
 from ..stabilizer.packed import FusedProgram, fused_shot_budget
 from .backends import BACKEND_NAMES, Backend, create_backend
@@ -390,12 +389,7 @@ def _context_for(task: LerPointTask) -> tuple:
     if ctx is None:
         circuit = task.build_circuit()
         dem = build_detector_error_model(circuit)
-        graph = MatchingGraph(dem)
-        if task.decoder == "mwpm":
-            decoder = MwpmDecoder(graph)
-        else:
-            decoder = UnionFindDecoder(graph)
-        pipeline = DecodingPipeline(circuit, decoder,
+        pipeline = DecodingPipeline(circuit, MwpmDecoder(MatchingGraph(dem)),
                                     rng_mode=task.rng_mode)
         memo_store = _memo_cache()
         if memo_store is not None:

@@ -70,9 +70,9 @@ _MEMO_KIND = "syndrome_memo"
 def memo_cache_key(task_hash: str, decoder_name: str) -> str:
     """Cache key of the persisted syndrome memo for (task, decoder).
 
-    Hashed so memo records share the result cache's two-level hex layout;
-    the decoder name is part of the key because MWPM and union-find memos
-    for one circuit hold different parities and must never alias.
+    Hashed so memo records share the result cache's two-level hex layout.
+    The decoder name stays part of the key so existing memo records keep
+    their addresses.
     """
     body = f"syndrome_memo:{task_hash}:{decoder_name}"
     return hashlib.sha256(body.encode()).hexdigest()

@@ -19,8 +19,8 @@ tuples).  That buys three things at once:
 Three task kinds cover the repo's Monte-Carlo workloads:
 
 ``LerPointTask``
-    One logical-error-rate point: a (patch, noise, rounds, decoder) cell of a
-    memory or stability experiment, sampled for some number of shots.
+    One logical-error-rate point: a (patch, noise, rounds) cell of a memory
+    or stability experiment, sampled for some number of shots.
 ``CutoffCellTask``
     A ``LerPointTask`` subtype carrying the strategy metadata of the Sec. 6
     cutoff-fidelity sweep (keep vs disable, bad-qubit error rate).
@@ -66,7 +66,6 @@ __all__ = [
 # stale entries are ignored.
 ENGINE_SCHEMA_VERSION = 1
 
-_DECODERS = ("mwpm", "unionfind")
 _LAYOUTS = ("rotated", "stability")
 _EXPERIMENTS = ("memory", "stability")
 
@@ -186,18 +185,16 @@ class LerPointTask(TaskSpec):
     physical_error_rate: float
     rounds: int
     noise: NoiseSpec
-    decoder: str = "mwpm"
     rng_mode: str = "exact"
 
     kind = "ler_point"
+    decoder = "mwpm"  # the only decoder; kept in payloads for stable hashes
 
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.layout_kind not in _LAYOUTS:
             raise ValueError(f"unknown layout kind {self.layout_kind!r}")
-        if self.decoder not in _DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.rng_mode not in RNG_MODES:
             raise ValueError(f"unknown rng_mode {self.rng_mode!r}")
         if self.rounds <= 0:
@@ -213,7 +210,6 @@ class LerPointTask(TaskSpec):
         *,
         rounds: Optional[int] = None,
         noise: Optional[CircuitNoiseModel] = None,
-        decoder: str = "mwpm",
         rng_mode: str = "exact",
     ) -> "LerPointTask":
         """Describe an experiment on an already-adapted patch."""
@@ -232,7 +228,6 @@ class LerPointTask(TaskSpec):
             physical_error_rate=float(physical_error_rate),
             rounds=int(rounds),
             noise=NoiseSpec.from_model(noise),
-            decoder=decoder,
             rng_mode=rng_mode,
         )
 
@@ -284,6 +279,8 @@ class LerPointTask(TaskSpec):
         Field validation reruns in ``__post_init__``, so a tampered payload
         fails loudly instead of building a nonsense task.
         """
+        if payload["decoder"] != cls.decoder:
+            raise ValueError(f"unknown decoder {payload['decoder']!r}")
         return cls(
             experiment=str(payload["experiment"]),
             layout_kind=str(payload["layout_kind"]),
@@ -293,7 +290,6 @@ class LerPointTask(TaskSpec):
             physical_error_rate=float(payload["physical_error_rate"]),
             rounds=int(payload["rounds"]),
             noise=NoiseSpec.from_payload(payload["noise"]),
-            decoder=str(payload["decoder"]),
             rng_mode=str(payload.get("rng_mode", "exact")),
             **cls._extra_fields_from_payload(payload),
         )

@@ -66,7 +66,6 @@ def run_memory_experiment(
     rounds: Optional[int] = None,
     noise: Optional[CircuitNoiseModel] = None,
     seed: Seed = None,
-    decoder: str = "mwpm",
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
 ) -> MemoryExperimentResult:
@@ -89,8 +88,6 @@ def run_memory_experiment(
         Number of Monte-Carlo samples (fixed budget).
     rounds:
         Number of syndrome-extraction rounds; defaults to the patch width.
-    decoder:
-        ``"mwpm"`` (exact matching, default) or ``"unionfind"``.
     engine:
         Engine to run on; defaults to the process-wide default engine.
     policy:
@@ -99,7 +96,7 @@ def run_memory_experiment(
     """
     task = LerPointTask.from_patch(
         "memory", patch, physical_error_rate,
-        rounds=rounds, noise=noise, decoder=decoder,
+        rounds=rounds, noise=noise,
     )
     eng = engine if engine is not None else default_engine()
     result = eng.run_ler(task, shots=None if policy else shots,
@@ -115,14 +112,13 @@ def run_stability_experiment(
     *,
     noise: Optional[CircuitNoiseModel] = None,
     seed: Seed = None,
-    decoder: str = "mwpm",
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
 ) -> MemoryExperimentResult:
     """Measure the stability-experiment failure rate (Sec. 6 of the paper)."""
     task = LerPointTask.from_patch(
         "stability", patch, physical_error_rate,
-        rounds=rounds, noise=noise, decoder=decoder,
+        rounds=rounds, noise=noise,
     )
     eng = engine if engine is not None else default_engine()
     result = eng.run_ler(task, shots=None if policy else shots,
@@ -137,7 +133,6 @@ def logical_error_rate_curve(
     *,
     rounds: Optional[int] = None,
     seed: Seed = None,
-    decoder: str = "mwpm",
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
 ) -> list[MemoryExperimentResult]:
@@ -152,8 +147,7 @@ def logical_error_rate_curve(
     use, and the results stay bit-identical to running each point alone.
     """
     tasks = [
-        LerPointTask.from_patch("memory", patch, p, rounds=rounds,
-                                decoder=decoder)
+        LerPointTask.from_patch("memory", patch, p, rounds=rounds)
         for p in physical_error_rates
     ]
     eng = engine if engine is not None else default_engine()

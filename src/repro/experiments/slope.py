@@ -113,14 +113,13 @@ def estimate_slope(
     *,
     rounds: Optional[int] = None,
     seed: Seed = None,
-    decoder: str = "mwpm",
     engine: Optional[Engine] = None,
 ) -> PatchSlopeRecord:
     """Measure LER over a p-window, fit the log-log slope, collect indicators."""
     metrics = evaluate_patch(patch)
     results = logical_error_rate_curve(
         patch, physical_error_rates, shots, rounds=rounds, seed=seed,
-        decoder=decoder, engine=engine,
+        engine=engine,
     )
     lers = tuple(r.logical_error_rate for r in results)
     slope: Optional[float] = None

@@ -43,9 +43,9 @@ RULE_ID = "R006"
 #: Known enum-ish string values across the repo's task specs; string fields
 #: are perturbed to the first *different* value the validators accept.
 _STRING_POOL = (
-    "memory", "stability", "rotated", "mwpm", "unionfind", "exact",
-    "bitgen", "keep", "disable", "distance", "defect_free", "link_only",
-    "link_and_qubit", "repro-lint-alt",
+    "memory", "stability", "rotated", "mwpm", "exact", "bitgen", "keep",
+    "disable", "distance", "defect_free", "link_only", "link_and_qubit",
+    "repro-lint-alt",
 )
 
 
@@ -111,13 +111,13 @@ def _sample_tasks():
         faulty_qubits=((1, 1),),
         faulty_links=(((0, 0), (0, 1)),),
         physical_error_rate=2e-3, rounds=3, noise=noise,
-        decoder="mwpm", rng_mode="exact",
+        rng_mode="exact",
     )
     cutoff = CutoffCellTask(
         experiment="memory", layout_kind="rotated", size=3,
         faulty_qubits=((1, 1),), faulty_links=(((0, 0), (0, 1)),),
         physical_error_rate=2e-3, rounds=3, noise=noise,
-        decoder="mwpm", rng_mode="exact",
+        rng_mode="exact",
         strategy="disable", bad_qubit_error_rate=0.02,
     )
     patch = PatchSampleTask(

@@ -1,7 +1,7 @@
 """Stabilizer-circuit substrate: Pauli algebra, circuit IR, samplers, DEMs.
 
 This subpackage is the in-repo replacement for the Stim simulator used by the
-original paper.  See DESIGN.md section 2 for the substitution rationale.
+original paper (see the README's opening paragraph).
 """
 
 from .circuit import Circuit, Instruction, MeasurementTracker

@@ -1,9 +1,9 @@
-"""Tests for the MWPM and union-find decoders."""
+"""Tests for the MWPM decoder."""
 
 import numpy as np
 import pytest
 
-from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
+from repro.decoder import MatchingGraph, MwpmDecoder
 from repro.stabilizer.dem import DemError, DetectorErrorModel
 
 
@@ -40,11 +40,6 @@ class TestMatchingGraph:
         ])
         graph = MatchingGraph(dem)
         assert graph.observables_on_edge(0, 1) == ()
-
-    def test_to_networkx(self):
-        g = MatchingGraph(_line_dem()).to_networkx()
-        assert g.number_of_nodes() == 5
-        assert g.number_of_edges() == 5
 
 
 class TestMwpmDecoder:
@@ -101,38 +96,3 @@ class TestMwpmDecoder:
         prediction = dec.decode(np.array([True, True, True, False]))
         assert prediction.shape == (1,)
 
-
-class TestUnionFindDecoder:
-    def test_empty_syndrome(self):
-        dec = UnionFindDecoder(_line_dem())
-        assert not dec.decode(np.zeros(4, dtype=bool)).any()
-
-    def test_interior_pair(self):
-        dec = UnionFindDecoder(_line_dem())
-        assert not dec.decode(np.array([False, True, True, False])).any()
-
-    def test_boundary_error(self):
-        dec = UnionFindDecoder(_line_dem())
-        prediction = dec.decode(np.array([True, False, False, False]))
-        assert prediction[0]
-
-    def test_batch(self):
-        dec = UnionFindDecoder(_line_dem())
-        result = dec.decode_batch(np.zeros((3, 4), dtype=bool))
-        assert result.num_shots == 3
-
-    def test_agreement_with_mwpm_on_simple_syndromes(self):
-        mwpm = MwpmDecoder(_line_dem(n=5))
-        uf = UnionFindDecoder(_line_dem(n=5))
-        rng = np.random.default_rng(0)
-        agree = 0
-        total = 30
-        for _ in range(total):
-            syndrome = rng.random(5) < 0.25
-            if syndrome.sum() % 2 == 1:
-                syndrome[0] = not syndrome[0]
-            if np.array_equal(mwpm.decode(syndrome), uf.decode(syndrome)):
-                agree += 1
-        # The decoders need not agree on every degenerate case, but they must
-        # agree on the large majority of simple syndromes.
-        assert agree >= total * 0.7

@@ -1,5 +1,5 @@
 """Property tests: batched/deduplicated decoding is bit-identical to the
-per-shot reference, for both decoders, with and without observables.
+per-shot reference, with and without observables.
 
 :func:`repro.decoder.reference.reference_mwpm_decode` is the frozen
 pre-pipeline per-shot MWPM algorithm (fresh Dijkstra sweep over the fired
@@ -11,7 +11,7 @@ batch.
 import numpy as np
 import pytest
 
-from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
+from repro.decoder import MatchingGraph, MwpmDecoder
 from repro.decoder.reference import reference_mwpm_decode as _reference_mwpm_decode
 from repro.stabilizer.dem import DemError, DetectorErrorModel
 
@@ -115,19 +115,6 @@ class TestMwpmBatchBitIdentity:
             syndrome = rng.random(dem.num_detectors) < 0.2
             assert np.array_equal(decoder.decode(syndrome),
                                   _reference_mwpm_decode(graph, syndrome))
-
-
-class TestUnionFindBatchBitIdentity:
-    @pytest.mark.parametrize("dem", DEMS)
-    def test_batch_matches_fresh_per_shot_decode(self, dem):
-        batch_decoder = UnionFindDecoder(MatchingGraph(dem))
-        rng = np.random.default_rng(17)
-        batch = _random_batch(dem.num_detectors, 24, rng)
-        result = batch_decoder.decode_batch(batch)
-        for s in range(batch.shape[0]):
-            fresh = UnionFindDecoder(MatchingGraph(dem))
-            assert np.array_equal(result.predicted_observables[s],
-                                  fresh.decode(batch[s])), s
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ Covers the engine's three load-bearing guarantees:
   guaranteed minimum number of shots always honoured.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,9 +42,41 @@ from repro.surface_code import RotatedSurfaceCodeLayout, build_memory_circuit
 from repro.surface_code.layout import StabilityLayout
 
 
-def d3_task(p: float = 0.01, decoder: str = "mwpm") -> LerPointTask:
+def d3_task(p: float = 0.01) -> LerPointTask:
     patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-    return LerPointTask.from_patch("memory", patch, p, decoder=decoder)
+    return LerPointTask.from_patch("memory", patch, p)
+
+
+def _pinned_tasks() -> dict:
+    layout = RotatedSurfaceCodeLayout(5)
+    defects = DefectSet.of(qubits=[(5, 5)], links=[((1, 7), (0, 6))])
+    stability = LerPointTask.from_patch(
+        "stability", adapt_patch(StabilityLayout(4), DefectSet.of()), 0.005,
+        rounds=3)
+    return {
+        "memory_d3": d3_task(0.01),
+        "memory_d5_adapted_bitgen": LerPointTask.from_patch(
+            "memory", adapt_patch(layout, defects), 0.002, rng_mode="bitgen"),
+        "stability_l4": stability,
+        "cutoff_keep": CutoffCellTask(
+            strategy="keep", bad_qubit_error_rate=0.1,
+            **{f.name: getattr(stability, f.name)
+               for f in dataclasses.fields(LerPointTask)}),
+    }
+
+
+# sha256 content hashes of ``_pinned_tasks()``, recorded while ``decoder``
+# was still a dataclass field of ``LerPointTask``.
+PINNED_TASK_HASHES = {
+    "memory_d3":
+        "99b3ebe10af5dc44d975d3c94691ab07aa33d44ce81844d08478d8c11d5746f4",
+    "memory_d5_adapted_bitgen":
+        "45443e34dff971de2533d88e2653a458009c23e23c32fb9dfe797f6bbb378532",
+    "stability_l4":
+        "e38eec4eb98db92822cccb6f6811f07bf71c9fbb7267616c9334db520a494b7a",
+    "cutoff_keep":
+        "737b0765c20633d51441cba2a923733026b3a7bdb98e5cfec8f2188e9970082a",
+}
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +120,6 @@ class TestTaskSpecs:
         a, b = d3_task(0.01), d3_task(0.01)
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != d3_task(0.02).content_hash()
-        assert a.content_hash() != d3_task(0.01, decoder="unionfind").content_hash()
 
     def test_task_rebuilds_equivalent_patch(self):
         layout = RotatedSurfaceCodeLayout(5)
@@ -96,10 +129,31 @@ class TestTaskSpecs:
         assert rebuilt.disabled_data == patch.disabled_data
         assert rebuilt.stabilizers == patch.stabilizers
 
-    def test_unknown_decoder_rejected_eagerly(self):
+    @pytest.mark.parametrize("decoder", ["unionfind", "magic"])
+    def test_unknown_decoder_payload_rejected(self, decoder):
+        payload = dict(d3_task().payload(), decoder=decoder)
+        with pytest.raises(ValueError, match=f"unknown decoder '{decoder}'"):
+            task_from_payload(LerPointTask.kind, payload)
+
+    @pytest.mark.parametrize("cls", [LerPointTask, CutoffCellTask])
+    def test_decoder_is_a_constant_not_a_field(self, cls):
+        assert cls.decoder == "mwpm"
+        assert "decoder" not in {f.name for f in dataclasses.fields(cls)}
+        fields = {f.name: getattr(d3_task(), f.name)
+                  for f in dataclasses.fields(LerPointTask)}
+        with pytest.raises(TypeError, match="decoder"):
+            cls(decoder="mwpm", **fields)
+
+    def test_from_patch_takes_no_decoder(self):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-        with pytest.raises(ValueError):
-            LerPointTask.from_patch("memory", patch, 0.01, decoder="magic")
+        with pytest.raises(TypeError, match="decoder"):
+            LerPointTask.from_patch("memory", patch, 0.01, decoder="mwpm")
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TASK_HASHES))
+    def test_pinned_content_hashes(self, name):
+        task = _pinned_tasks()[name]
+        assert task.payload()["decoder"] == "mwpm"
+        assert task.content_hash() == PINNED_TASK_HASHES[name]
 
     def test_cutoff_cell_hash_differs_by_strategy(self):
         patch = adapt_patch(StabilityLayout(4), DefectSet.of())
@@ -109,7 +163,7 @@ class TestTaskSpecs:
             size=base.size, faulty_qubits=base.faulty_qubits,
             faulty_links=base.faulty_links,
             physical_error_rate=base.physical_error_rate,
-            rounds=base.rounds, noise=base.noise, decoder=base.decoder,
+            rounds=base.rounds, noise=base.noise,
         )
         keep = CutoffCellTask(strategy="keep", bad_qubit_error_rate=0.1, **fields)
         disable = CutoffCellTask(strategy="disable", **fields)
@@ -124,9 +178,9 @@ class TestTaskSpecs:
             size=base.size, faulty_qubits=base.faulty_qubits,
             faulty_links=base.faulty_links,
             physical_error_rate=base.physical_error_rate,
-            rounds=base.rounds, noise=base.noise, decoder=base.decoder)
+            rounds=base.rounds, noise=base.noise)
         tasks = [
-            d3_task(0.01, decoder="unionfind"),
+            d3_task(0.01),
             base,
             cutoff,
             PatchSampleTask(size=5, defect_model_kind=LINK_AND_QUBIT,

@@ -8,6 +8,7 @@ the same code paths the benchmark harness uses.
 import pytest
 
 from repro.core import adapt_patch
+from repro.engine import LerPointTask, task_from_payload
 from repro.experiments import (
     run_cutoff_study,
     run_memory_experiment,
@@ -54,16 +55,24 @@ class TestMemoryExperiments:
         result = run_memory_experiment(patch, 0.01, shots=400, seed=3)
         assert 0.0 <= result.logical_error_rate < 0.5
 
-    def test_union_find_decoder_path(self):
+    @pytest.mark.parametrize("decoder", ["unionfind", "magic"])
+    def test_unknown_decoder_rejected(self, decoder):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-        result = run_memory_experiment(patch, 0.01, shots=300, seed=4,
-                                       decoder="unionfind")
-        assert result.decoder == "unionfind"
+        task = LerPointTask.from_patch("memory", patch, 0.01)
+        payload = dict(task.payload(), decoder=decoder)
+        with pytest.raises(ValueError, match=f"unknown decoder '{decoder}'"):
+            task_from_payload(task.kind, payload)
 
-    def test_unknown_decoder_rejected(self):
+    @pytest.mark.parametrize("entry_point, args", [
+        (run_memory_experiment, (0.01, 10)),
+        (run_stability_experiment, (0.01, 10, 3)),
+        (logical_error_rate_curve, ((0.01,), 10)),
+        (estimate_slope, ((0.01,), 10)),
+    ], ids=lambda v: getattr(v, "__name__", "args"))
+    def test_entry_points_take_no_decoder(self, entry_point, args):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-        with pytest.raises(ValueError):
-            run_memory_experiment(patch, 0.01, shots=10, decoder="magic")
+        with pytest.raises(TypeError, match="decoder"):
+            entry_point(patch, *args, decoder="mwpm")
 
     def test_ler_curve_sweep(self):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
@@ -76,6 +85,7 @@ class TestStabilityAndCutoff:
         patch = adapt_patch(StabilityLayout(4), DefectSet.of())
         result = run_stability_experiment(patch, 0.01, shots=400, rounds=3, seed=0)
         assert 0.0 <= result.logical_error_rate <= 1.0
+        assert result.decoder == "mwpm"
 
     def test_cutoff_study_structure(self):
         study = run_cutoff_study(

@@ -37,9 +37,9 @@ class CountingDecoder(BatchDecoderBase):
         return frozenset({min(fired) % self.num_observables})
 
 
-def _task(p=0.003, decoder="mwpm"):
+def _task(p=0.003):
     patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-    return LerPointTask.from_patch("memory", patch, p, decoder=decoder)
+    return LerPointTask.from_patch("memory", patch, p)
 
 
 @pytest.fixture(autouse=True)
@@ -220,14 +220,3 @@ class TestMemoPersistence:
         pipeline, _ = ex._context_for(task)
         assert pipeline.preloaded_memo_entries == 0
         assert cache.get(key)["entries"]     # rewritten by the run
-
-    def test_unionfind_memo_isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        mwpm, uf = _task(), _task(decoder="unionfind")
-        pm, _ = ex._context_for(mwpm)
-        pm.run(2000, seed=5)
-        pm.persist_memo()
-        cache = ResultCache(str(tmp_path))
-        assert cache.get(memo_cache_key(mwpm.content_hash(), "mwpm"))
-        assert cache.get(memo_cache_key(uf.content_hash(),
-                                        "unionfind")) is None

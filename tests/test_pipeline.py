@@ -12,7 +12,7 @@ The two load-bearing properties:
 import pytest
 
 from repro.core.adaptation import adapt_patch
-from repro.decoder import MwpmDecoder, UnionFindDecoder
+from repro.decoder import MwpmDecoder
 from repro.engine import DecodingPipeline, PipelineStats
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
@@ -30,26 +30,24 @@ def _circuit(distance=3, p=0.004, rounds=None):
                                 rounds or distance)
 
 
-def _decoder(circuit, kind="mwpm"):
-    dem = build_detector_error_model(circuit)
-    return MwpmDecoder(dem) if kind == "mwpm" else UnionFindDecoder(dem)
+def _decoder(circuit):
+    return MwpmDecoder(build_detector_error_model(circuit))
 
 
-def _legacy_failures(circuit, decoder_kind, shots, seed):
+def _legacy_failures(circuit, shots, seed):
     """The historical unpacked path: sample, dense decode_batch, tally."""
     samples = FrameSimulator(circuit, seed=seed).sample(shots)
-    decoded = _decoder(circuit, decoder_kind).decode_batch(samples.detectors)
+    decoded = _decoder(circuit).decode_batch(samples.detectors)
     return decoded.logical_error_count(samples.observables)
 
 
 class TestChunkInvariance:
-    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
-    def test_chunk_sizes_never_change_tallies(self, decoder_kind):
+    def test_chunk_sizes_never_change_tallies(self):
         circuit = _circuit()
         shots = 40
         tallies = {}
         for chunk in (1, 7, shots):
-            pipeline = DecodingPipeline(circuit, _decoder(circuit, decoder_kind),
+            pipeline = DecodingPipeline(circuit, _decoder(circuit),
                                         chunk_shots=chunk)
             stats = pipeline.run(shots, seed=31)
             tallies[chunk] = stats.failures
@@ -64,16 +62,13 @@ class TestChunkInvariance:
 
 
 class TestBitIdentityWithLegacyPath:
-    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
     @pytest.mark.parametrize("p", [0.001, 0.006])
-    def test_pipeline_matches_unpacked_decode_batch(self, decoder_kind, p):
+    def test_pipeline_matches_unpacked_decode_batch(self, p):
         circuit = _circuit(p=p)
         shots = 120
-        pipeline = DecodingPipeline(circuit, _decoder(circuit, decoder_kind),
-                                    chunk_shots=32)
+        pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=32)
         stats = pipeline.run(shots, seed=77)
-        assert stats.failures == _legacy_failures(circuit, decoder_kind,
-                                                  shots, seed=77)
+        assert stats.failures == _legacy_failures(circuit, shots, seed=77)
 
     def test_repeat_runs_are_deterministic_and_warm(self):
         circuit = _circuit()
@@ -169,7 +164,7 @@ class TestEngineIntegration:
         engine = Engine(EngineConfig())
         result = engine.run_ler(task, shots=300, seed=404)
         circuit = task.build_circuit()
-        assert result.failures == _legacy_failures(circuit, "mwpm", 300, seed=404)
+        assert result.failures == _legacy_failures(circuit, 300, seed=404)
 
     def test_multi_shard_determinism(self):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())

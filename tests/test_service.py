@@ -70,6 +70,15 @@ def sweep_body(ps=(0.005, 0.01), shots: int = 400, seed: int = 11,
             "shots": shots, "seed": seed, "shard_size": shard_size}
 
 
+def unionfind_bodies() -> list:
+    """An LER and a sweep submission whose task asks for union-find."""
+    ler = ler_body()
+    ler["task"]["decoder"] = "unionfind"
+    sweep = sweep_body()
+    sweep["tasks"][1]["decoder"] = "unionfind"
+    return [ler, sweep]
+
+
 class Clock:
     """An injectable clock so lease tests never sleep."""
 
@@ -120,6 +129,7 @@ class TestSpecs:
         ({"kind": "ler", "task": {}, "shots": 10, "shard_size": 0},
          "shard_size"),
         ("not an object", "JSON object"),
+        *[(body, "unknown decoder 'unionfind'") for body in unionfind_bodies()],
     ])
     def test_malformed_submissions_fail_at_the_boundary(self, body, match):
         with pytest.raises(ValueError, match=match):
@@ -440,6 +450,29 @@ class TestServiceWorker:
         assert job.state == "failed"
         assert job.error  # carries the exception text
 
+    def test_queued_unionfind_job_fails_cleanly(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.db")
+        # Stands in for a job queued before union-find was removed: it
+        # skipped today's normalize_spec, so the worker meets it first.
+        spec = normalize_spec(ler_body(seed=11))
+        spec["task"]["decoder"] = "unionfind"
+        stale = store.submit("ler", spec, None)
+        worker = ServiceWorker(store, lease_seconds=60)
+        assert worker.drain() == 1
+        job = store.get(stale.id)
+        assert (job.state, job.attempts) == ("failed", 1)
+        assert "unknown decoder 'unionfind'" in job.error
+
+        # The same worker goes on to run the next valid job.
+        ok = self.submit(store, ler_body(shots=400, seed=11))
+        assert worker.drain() == 1
+        got = store.get(ok.id)
+        assert got.state == "done"
+        direct = Engine(EngineConfig(shard_size=128)).run_ler(
+            d3_task(), shots=400, seed=11)
+        assert got.result["results"][0]["failures"] == direct.failures
+        assert store.get(stale.id).attempts == 1
+
     def test_cancellation_before_start_discards_quietly(self, tmp_path):
         store = JobStore(tmp_path / "jobs.db")
         job = self.submit(store, ler_body(seed=11))
@@ -565,6 +598,10 @@ class TestHttpService:
             client.request("POST", "/jobs", {"kind": "bogus"})
         with pytest.raises(SystemExit, match="404"):
             client.request("GET", "/nope")
+        for body in unionfind_bodies():
+            with pytest.raises(SystemExit,
+                               match=r"unknown decoder 'unionfind'.*\(400\)"):
+                client.request("POST", "/jobs", body)
         stats = client.request("GET", "/stats")
         assert stats["states"]["cancelled"] == 1
 
