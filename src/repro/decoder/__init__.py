@@ -6,12 +6,11 @@ In-repo replacement for PyMatching (see the README's opening paragraph).
 :class:`MatchingGraph`.
 """
 
-from .base import BatchDecoderBase, DecodeResult, syndrome_cache_limit
+from .base import BatchDecoderBase, syndrome_cache_limit
 from .matching import MatchingGraph, MwpmDecoder
 
 __all__ = [
     "BatchDecoderBase",
-    "DecodeResult",
     "MatchingGraph",
     "MwpmDecoder",
     "syndrome_cache_limit",

@@ -26,20 +26,19 @@ Subclasses implement a single method, ``_decode_fired``, mapping a canonical
 syndrome to the *parity set* of flipped logical observables (a frozenset, so
 predictions are hashable and memoisable).  Decoding runs serially in the
 calling thread: ``_decode_fired`` is pure-Python matching, so threads would
-only contend for the GIL.  Everything else — dense and sparse batch entry
-points, the legacy one-shot ``decode``, result packing — lives here.
+only contend for the GIL.  Everything else — the sparse entry points
+:meth:`BatchDecoderBase.decode_fired` and
+:meth:`BatchDecoderBase.decode_fired_batch`, the memo and its counters —
+lives here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple, Union
-
-import numpy as np
+from typing import FrozenSet, List, Sequence, Tuple
 
 from ..env import env_int
 
-__all__ = ["DecodeResult", "BatchDecoderBase", "syndrome_cache_limit"]
+__all__ = ["BatchDecoderBase", "syndrome_cache_limit"]
 
 _DEFAULT_SYNDROME_CACHE = 1 << 16
 
@@ -55,21 +54,6 @@ def syndrome_cache_limit(env=None) -> int:
     """
     return env_int("REPRO_SYNDROME_CACHE", _DEFAULT_SYNDROME_CACHE,
                    minimum=0, env=env)
-
-
-@dataclass
-class DecodeResult:
-    """Batch decode outcome."""
-
-    predicted_observables: np.ndarray   # shape (shots, num_observables), bool
-    num_shots: int
-
-    def logical_error_count(self, actual_observables: np.ndarray) -> int:
-        """Number of shots where any observable prediction was wrong."""
-        if actual_observables.shape != self.predicted_observables.shape:
-            raise ValueError("shape mismatch between actual and predicted observables")
-        wrong = np.any(actual_observables != self.predicted_observables, axis=1)
-        return int(np.count_nonzero(wrong))
 
 
 class BatchDecoderBase:
@@ -213,43 +197,3 @@ class BatchDecoderBase:
         for key in distinct:
             distinct[key] = self._decode_canonical(key)
         return [distinct[key] if key else empty for key in keys]
-
-    # ------------------------------------------------------------------
-    def _densify(self, parity: FrozenSet[int]) -> np.ndarray:
-        out = np.zeros(self.num_observables, dtype=bool)
-        for obs in parity:
-            if obs < self.num_observables:
-                out[obs] = True
-        return out
-
-    def decode(self, detector_sample: Union[Sequence[bool], np.ndarray]) -> np.ndarray:
-        """Decode one dense shot; returns a boolean observable-flip vector."""
-        detector_sample = np.asarray(detector_sample, dtype=bool)
-        fired = tuple(int(i) for i in np.flatnonzero(detector_sample))
-        return self._densify(self.decode_fired(fired))
-
-    def decode_batch(self, detector_samples: Union[np.ndarray, Sequence]) -> DecodeResult:
-        """Decode a dense ``(shots, num_detectors)`` batch through the dedup path.
-
-        Input is coerced with ``np.asarray(..., dtype=bool)`` exactly like
-        the historical per-shot API, so boolean arrays, 0/1 integer rows and
-        nested Python lists all keep their old meaning.  Callers holding
-        *sparse* fired-index lists (e.g. from
-        :meth:`~repro.stabilizer.packed.PackedDetectorSamples.fired_detectors`)
-        should use :meth:`decode_fired_batch` instead — guessing which of
-        the two a ragged sequence means is inherently ambiguous.
-        """
-        dense = np.asarray(detector_samples, dtype=bool)
-        if dense.ndim != 2:
-            raise ValueError(
-                "decode_batch expects a dense (shots, num_detectors) array; "
-                "pass sparse fired-index lists to decode_fired_batch instead"
-            )
-        shots = dense.shape[0]
-        parities = self.decode_fired_batch([np.flatnonzero(row) for row in dense])
-        out = np.zeros((shots, self.num_observables), dtype=bool)
-        for s, parity in enumerate(parities):
-            for obs in parity:
-                if obs < self.num_observables:
-                    out[s, obs] = True
-        return DecodeResult(predicted_observables=out, num_shots=shots)

@@ -56,9 +56,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from ..stabilizer.dem import DetectorErrorModel
-from .base import BatchDecoderBase, DecodeResult
+from .base import BatchDecoderBase
 
-__all__ = ["MatchingGraph", "MwpmDecoder", "DecodeResult"]
+__all__ = ["MatchingGraph", "MwpmDecoder"]
 
 _MIN_PROBABILITY = 1e-12
 _MAX_WEIGHT = 60.0
@@ -305,7 +305,7 @@ class MatchingGraph:
 class MwpmDecoder(BatchDecoderBase):
     """Exact minimum-weight perfect-matching decoder.
 
-    ``decode`` / ``decode_batch`` (inherited from
+    ``decode_fired`` / ``decode_fired_batch`` (inherited from
     :class:`~repro.decoder.base.BatchDecoderBase`) canonicalise and
     deduplicate syndromes; only *distinct* syndromes reach the matching
     stage below, which in turn only pays Dijkstra for detectors it has not

@@ -38,10 +38,11 @@ workers skip the cold-start rebuild.  A malformed record is a miss, like
 any other cache record.  Persistence never changes numbers — decoding is a
 pure function of the syndrome.
 
-Determinism: the packed simulator draws the same RNG variates in the same
-order as the unpacked one, and decoding is a pure function of each shot's
-syndrome, so pipeline tallies are bit-identical to the historical
-sample-then-``decode_batch`` path for any chunk size.
+Determinism: decoding is a pure function of each shot's syndrome, so
+pipeline tallies are bit-identical to the frozen ``repro.stabilizer.reference``
+loop followed by per-shot :func:`~repro.decoder.reference.reference_mwpm_decode`
+for any chunk size (the packed simulator draws the same RNG variates in the
+same order as that loop).
 """
 
 from __future__ import annotations
@@ -245,9 +246,10 @@ class DecodingPipeline:
     def run(self, shots: int, seed: Seed = None) -> PipelineStats:
         """Sample ``shots`` under ``seed``, decode in chunks, tally failures.
 
-        Bit-identical to ``FrameSimulator(circuit, seed).sample(shots)``
-        followed by ``decoder.decode_batch`` + ``logical_error_count`` — the
-        chunk size changes memory traffic, never the numbers.
+        Bit-identical to the frozen ``repro.stabilizer.reference`` loop
+        (``reference_packed_sample(circuit, shots, seed)``) followed by
+        per-shot ``reference_mwpm_decode`` and a tally — the chunk size
+        changes memory traffic, never the numbers.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")

@@ -6,11 +6,10 @@ original paper (see the README's opening paragraph).
 
 from .circuit import Circuit, Instruction, MeasurementTracker
 from .dem import DemError, DetectorErrorModel, build_detector_error_model
-from .frame import DetectorSamples, FrameSimulator, sample_detectors
 from .packed import (
     PackedDetectorSamples,
     PackedFrameSimulator,
-    sample_detectors_packed,
+    noiseless_deterministic,
 )
 from .pauli import PauliString, batch_commutes, commutes, pauli_product
 from .tableau import TableauSimulator
@@ -22,12 +21,9 @@ __all__ = [
     "DemError",
     "DetectorErrorModel",
     "build_detector_error_model",
-    "DetectorSamples",
-    "FrameSimulator",
-    "sample_detectors",
     "PackedDetectorSamples",
     "PackedFrameSimulator",
-    "sample_detectors_packed",
+    "noiseless_deterministic",
     "PauliString",
     "pauli_product",
     "commutes",

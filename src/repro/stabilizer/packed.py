@@ -1,10 +1,44 @@
-"""Bit-packed Pauli-frame sampler: the pipeline-facing twin of ``frame.py``.
+"""Bit-packed Pauli-frame sampler: the engine's Monte-Carlo detector sampler.
 
-:class:`PackedFrameSimulator` implements exactly the same frame-update rules
-as :class:`~repro.stabilizer.frame.FrameSimulator` (see that module's table)
-but stores the X/Z frame components, the measurement-flip record and the
-detector/observable outputs as little-endian ``uint64`` bit rows
-(:mod:`~repro.stabilizer.bitpack`): one word carries 64 shots.
+A *Pauli frame* tracks, for each shot, the Pauli difference between the
+noisy run and the noiseless reference run.  Because all gates are Clifford
+and all noise is Pauli, the frame propagates through the circuit by simple
+bit operations, and the flip of each measurement result equals the
+anticommutation of the frame with the measured observable on that qubit.
+Detectors are defined (by construction of the circuits in this library) to
+be deterministic in the absence of noise, so the XOR of measurement *flips*
+referenced by a detector directly gives the detector outcome; the same holds
+for logical observables.  :func:`noiseless_deterministic` checks that
+premise for a circuit.
+
+Frame update rules (per qubit ``q``; ``x`` is the X component of the frame,
+``z`` the Z component):
+
+==============  ==========================================================
+Instruction     Effect on the frame
+==============  ==========================================================
+``H q``         swap ``x[q]`` and ``z[q]``
+``S q``         ``z[q] ^= x[q]``
+``X/Z q``       nothing (deterministic Paulis never change the frame)
+``CX c t``      ``x[t] ^= x[c]``; ``z[c] ^= z[t]``
+``CZ a b``      ``z[a] ^= x[b]``; ``z[b] ^= x[a]``
+``R q``         clear ``x[q]`` and ``z[q]`` (reset destroys the error)
+``RX q``        clear ``x[q]`` and ``z[q]``
+``M q``         record flip ``x[q]``; randomise ``z[q]``
+``MX q``        record flip ``z[q]``; randomise ``x[q]``
+``MR q``        record flip ``x[q]``; clear both
+noise           XOR sampled Paulis into the frame
+==============  ==========================================================
+
+The post-measurement randomisation mirrors Stim's frame simulator: after a
+collapse the frame component that anticommutes with the collapsed stabilizer
+is no longer physically meaningful, and randomising it keeps later
+measurements statistically faithful.
+
+:class:`PackedFrameSimulator` stores the X/Z frame components, the
+measurement-flip record and the detector/observable outputs as
+little-endian ``uint64`` bit rows (:mod:`~repro.stabilizer.bitpack`): one
+word carries 64 shots.
 
 Instruction dispatch is **vectorised**: at construction the circuit is
 compiled into a small program whose ops carry precomputed target index
@@ -40,13 +74,12 @@ few) whole-array numpy kernels instead of a per-target Python loop:
   draw fills rows in exactly the per-instruction order.
 
 Noise draws consume the **same** ``rng`` variates in the **same order** as
-the unpacked simulator, so a packed run is bit-identical to an unpacked run
-with the same seed; the test suite checks this instruction by instruction
-via the ``trace`` hooks, and against the frozen per-target loop in
-:mod:`repro.stabilizer.reference`.  When a ``trace`` hook is given, the
-simulator switches to a stepwise program (one op per instruction, still
-vectorised within the instruction) so the hook keeps firing after every
-instruction with identical dense views.
+the frozen per-target loop in :mod:`repro.stabilizer.reference`, so a run
+is bit-identical to that loop with the same seed; the test suite checks
+this instruction by instruction via the ``trace`` hooks.  When a ``trace``
+hook is given, the simulator switches to a stepwise program (one op per
+instruction, still vectorised within the instruction) so the hook keeps
+firing after every instruction with identical dense views.
 
 **Fast RNG mode** (``rng_mode="bitgen"``): the default ``"exact"`` mode is
 RNG-generation-bound at large shot counts — every noise row burns ``shots``
@@ -84,9 +117,8 @@ hashes and is never the default (see ``LerPointTask.rng_mode``).
 The sampler returns :class:`PackedDetectorSamples`, which keeps the packed
 rows and offers
 
-* dense compatibility copies (``.detectors`` / ``.observables``) matching
-  :class:`~repro.stabilizer.frame.DetectorSamples`, so existing callers keep
-  working, and
+* dense ``(shots, n)`` boolean views (``.detectors`` / ``.observables``),
+  unpacked on demand for tests and reference comparisons, and
 * *sparse syndrome extraction* (:meth:`PackedDetectorSamples.fired_detectors`
   / :meth:`PackedDetectorSamples.flipped_observables`): per-shot tuples of
   fired detector indices, which is what the deduplicating batch decoders
@@ -112,19 +144,18 @@ import numpy as np
 
 from .bitpack import WORD_BITS, num_words, pack_rows, unpack_bits
 from .circuit import Circuit
-from .frame import DetectorSamples
 
 __all__ = ["DrawScratch", "FusedProgram", "PackedDetectorSamples",
            "PackedFrameSimulator", "RNG_MODES", "fused_shot_budget",
-           "sample_detectors_packed"]
+           "noiseless_deterministic"]
 
 #: Supported RNG modes: ``"exact"`` reproduces the paper-exact per-target
 #: draw stream bit-for-bit; ``"bitgen"`` is the opt-in fast bit-level
 #: Bernoulli stream (statistically equivalent, different variates).
 RNG_MODES = ("exact", "bitgen")
 
-# Trace hook signature shared with FrameSimulator: called after every
-# instruction with (instruction_index, instruction, x_bool, z_bool,
+# Trace hook signature shared with the frozen reference loop: called after
+# every instruction with (instruction_index, instruction, x_bool, z_bool,
 # meas_flips_bool) where the arrays are dense ``(rows, shots)`` booleans.
 TraceHook = Callable[[int, object, np.ndarray, np.ndarray, np.ndarray], None]
 
@@ -168,10 +199,6 @@ class PackedDetectorSamples:
         if self.num_observables == 0:
             return np.zeros((self.num_shots, 0), dtype=bool)
         return unpack_bits(self.observables_packed, self.num_shots).T.copy()
-
-    def to_detector_samples(self) -> DetectorSamples:
-        """Fully unpacked :class:`DetectorSamples` (legacy-shaped)."""
-        return DetectorSamples(detectors=self.detectors, observables=self.observables)
 
     def detection_fraction(self) -> float:
         """Mean fraction of detectors that fired per shot (a health metric)."""
@@ -702,8 +729,8 @@ class PackedFrameSimulator:
     # ------------------------------------------------------------------
     def sample(self, shots: int, *, trace: Optional[TraceHook] = None,
                scratch: Optional[DrawScratch] = None) -> PackedDetectorSamples:
-        """Run ``shots`` Monte-Carlo samples; bit-identical to the unpacked
-        :meth:`FrameSimulator.sample` for the same seed.
+        """Run ``shots`` Monte-Carlo samples; in exact mode bit-identical to
+        the frozen :mod:`repro.stabilizer.reference` loop for the same seed.
 
         ``shots=0`` returns an empty sample without consuming RNG state
         (engine shard math may legitimately produce zero-shot requests).
@@ -1046,8 +1073,17 @@ class FusedProgram:
         return out
 
 
-def sample_detectors_packed(circuit: Circuit, shots: int, seed=None, *,
-                            rng_mode: str = "exact") -> PackedDetectorSamples:
-    """Convenience wrapper: packed detector data for ``circuit``."""
-    return PackedFrameSimulator(circuit, seed=seed,
-                                rng_mode=rng_mode).sample(shots)
+# Noiseless shots behind noiseless_deterministic (four packed words).
+_NOISELESS_CHECK_SHOTS = 256
+
+
+def noiseless_deterministic(circuit: Circuit) -> bool:
+    """True when no detector or observable fires with the noise removed.
+
+    Samples ``_NOISELESS_CHECK_SHOTS`` noiseless shots: a detector that is
+    random with probability 1/2 slips through with probability 2**-256.
+    """
+    samples = PackedFrameSimulator(circuit.without_noise(), seed=0).sample(
+        _NOISELESS_CHECK_SHOTS)
+    return not (samples.detectors_packed.any()
+                or samples.observables_packed.any())

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import adapt_patch
 from repro.noise import CircuitNoiseModel, DefectSet
-from repro.stabilizer import FrameSimulator, TableauSimulator
+from repro.stabilizer import TableauSimulator, noiseless_deterministic
 from repro.surface_code import (
     CircuitBuildError,
     RotatedSurfaceCodeLayout,
@@ -27,6 +27,7 @@ def _assert_deterministic(circuit):
     result = TableauSimulator(circuit.num_qubits, seed=0).run(circuit.without_noise())
     assert result.all_detectors_zero(), "some detector fired without noise"
     assert not any(result.observables), "an observable fired without noise"
+    assert noiseless_deterministic(circuit), "frame sampler disagrees"
 
 
 class TestDefectFreeCircuits:
@@ -130,7 +131,7 @@ class TestStabilityCircuits:
     def test_frame_simulator_agrees_on_noiseless_determinism(self):
         patch = adapt_patch(StabilityLayout(4), DefectSet.of())
         circuit = build_stability_circuit(patch, NOISE, 3)
-        assert FrameSimulator(circuit).sample_noiseless_check()
+        assert noiseless_deterministic(circuit)
 
 
 class TestNoiseModelPlacement:

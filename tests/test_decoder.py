@@ -1,6 +1,5 @@
 """Tests for the MWPM decoder."""
 
-import numpy as np
 import pytest
 
 from repro.decoder import MatchingGraph, MwpmDecoder
@@ -45,54 +44,39 @@ class TestMatchingGraph:
 class TestMwpmDecoder:
     def test_empty_syndrome_predicts_nothing(self):
         dec = MwpmDecoder(_line_dem())
-        assert not dec.decode(np.zeros(4, dtype=bool)).any()
+        assert dec.decode_fired(()) == frozenset()
 
     def test_single_interior_error_corrected(self):
         dec = MwpmDecoder(_line_dem())
         # An error on edge (1,2) fires detectors 1 and 2 and flips no observable.
-        prediction = dec.decode(np.array([False, True, True, False]))
-        assert not prediction.any()
+        assert dec.decode_fired((1, 2)) == frozenset()
 
     def test_boundary_error_flips_observable(self):
         dec = MwpmDecoder(_line_dem())
         # The left boundary error fires only detector 0 and flips the observable.
-        prediction = dec.decode(np.array([True, False, False, False]))
-        assert prediction[0]
+        assert dec.decode_fired((0,)) == frozenset({0})
 
     def test_right_boundary_error_no_observable(self):
         dec = MwpmDecoder(_line_dem())
-        prediction = dec.decode(np.array([False, False, False, True]))
-        assert not prediction.any()
+        assert dec.decode_fired((3,)) == frozenset()
 
     def test_two_errors_matched_pairwise(self):
         dec = MwpmDecoder(_line_dem(n=6))
         # Errors on edges (0,1) and (3,4): four detectors fire; the decoder
         # should pair them up locally and predict no logical flip.
-        syndrome = np.array([True, True, False, True, True, False])
-        assert not dec.decode(syndrome).any()
+        assert dec.decode_fired((0, 1, 3, 4)) == frozenset()
 
-    def test_batch_decoding_and_error_count(self):
+    def test_batch_decoding(self):
         dec = MwpmDecoder(_line_dem())
-        syndromes = np.array([
-            [True, False, False, False],
-            [False, True, True, False],
-        ])
-        result = dec.decode_batch(syndromes)
-        assert result.predicted_observables.shape == (2, 1)
-        actual = np.array([[True], [False]])
-        assert result.logical_error_count(actual) == 0
-        actual_wrong = np.array([[False], [True]])
-        assert result.logical_error_count(actual_wrong) == 2
+        assert dec.decode_fired_batch([(0,), (1, 2), ()]) == [
+            frozenset({0}), frozenset(), frozenset()]
 
-    def test_shape_mismatch_rejected(self):
-        dec = MwpmDecoder(_line_dem())
-        result = dec.decode_batch(np.zeros((2, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            result.logical_error_count(np.zeros((3, 1), dtype=bool))
+    def test_unsorted_fired_indices_are_canonicalised(self):
+        dec = MwpmDecoder(_line_dem(n=6))
+        assert dec.decode_fired((4, 3, 1, 0)) == dec.decode_fired((0, 1, 3, 4))
+        assert dec.decoded_syndromes == 1
 
     def test_odd_number_of_fired_detectors_uses_boundary(self):
         dec = MwpmDecoder(_line_dem())
         # Three detectors fired: one must match the boundary.
-        prediction = dec.decode(np.array([True, True, True, False]))
-        assert prediction.shape == (1,)
-
+        assert dec.decode_fired((0, 1, 2)) <= frozenset({0})

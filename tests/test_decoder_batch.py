@@ -62,6 +62,16 @@ def _memory_dem(distance=3, p=0.004):
     return build_detector_error_model(circuit)
 
 
+def _fired(batch):
+    """Per-shot fired-detector index tuples of a dense boolean batch."""
+    return [tuple(int(i) for i in np.flatnonzero(row)) for row in batch]
+
+
+def _parity(prediction):
+    """Observable parity set of a dense reference prediction."""
+    return frozenset(int(i) for i in np.flatnonzero(prediction))
+
+
 def _random_batch(num_detectors, shots, rng, density=0.15):
     batch = rng.random((shots, num_detectors)) < density
     # Force duplicates and empties into the batch so dedup paths are hit.
@@ -90,10 +100,10 @@ class TestMwpmBatchBitIdentity:
         rng = np.random.default_rng(11)
         for _ in range(3):
             batch = _random_batch(dem.num_detectors, 24, rng)
-            result = decoder.decode_batch(batch)
+            result = decoder.decode_fired_batch(_fired(batch))
             for s in range(batch.shape[0]):
                 expected = _reference_mwpm_decode(graph, batch[s])
-                assert np.array_equal(result.predicted_observables[s], expected), s
+                assert result[s] == _parity(expected), s
 
     def test_matches_reference_on_circuit_dem(self):
         dem = _memory_dem()
@@ -101,10 +111,10 @@ class TestMwpmBatchBitIdentity:
         decoder = MwpmDecoder(graph)
         rng = np.random.default_rng(23)
         batch = _random_batch(dem.num_detectors, 32, rng, density=0.05)
-        result = decoder.decode_batch(batch)
+        result = decoder.decode_fired_batch(_fired(batch))
         for s in range(batch.shape[0]):
             expected = _reference_mwpm_decode(graph, batch[s])
-            assert np.array_equal(result.predicted_observables[s], expected), s
+            assert result[s] == _parity(expected), s
 
     @pytest.mark.parametrize("dem", DEMS)
     def test_single_shot_decode_matches_reference(self, dem):
@@ -113,8 +123,8 @@ class TestMwpmBatchBitIdentity:
         rng = np.random.default_rng(3)
         for _ in range(20):
             syndrome = rng.random(dem.num_detectors) < 0.2
-            assert np.array_equal(decoder.decode(syndrome),
-                                  _reference_mwpm_decode(graph, syndrome))
+            assert decoder.decode_fired(np.flatnonzero(syndrome)) == _parity(
+                _reference_mwpm_decode(graph, syndrome))
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +134,7 @@ class TestDedupMachinery:
     def test_empty_batch_never_touches_dijkstra(self):
         graph = MatchingGraph(_line_dem())
         decoder = MwpmDecoder(graph)
-        decoder.decode_batch(np.zeros((50, 6), dtype=bool))
+        decoder.decode_fired_batch(_fired(np.zeros((50, 6), dtype=bool)))
         assert graph.cache_stats()["geodesic_sources"] == 0
         assert decoder.decoded_syndromes == 0
 
@@ -135,8 +145,8 @@ class TestDedupMachinery:
         batch[::2, 2] = True
         batch[1::4, 0] = True
         batch[0, 0] = True  # one shot upgraded to {0, 1, 2}
-        result = decoder.decode_batch(batch)
-        assert result.num_shots == 40
+        result = decoder.decode_fired_batch(_fired(batch))
+        assert len(result) == 40
         # Three distinct non-empty syndromes: {1,2}, {0,1,2}, {0}.
         assert decoder.decoded_syndromes == 3
 
@@ -145,27 +155,25 @@ class TestDedupMachinery:
         decoder = MwpmDecoder(graph)
         rng = np.random.default_rng(2)
         batch = rng.random((64, 6)) < 0.3
-        decoder.decode_batch(batch)
+        decoder.decode_fired_batch(_fired(batch))
         fired_ever = {int(d) for row in batch for d in np.flatnonzero(row)}
         assert graph.cache_stats()["geodesic_sources"] == len(fired_ever)
 
     def test_cross_batch_memo_hits(self):
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
-        batch = np.zeros((8, 6), dtype=bool)
-        batch[:, 2] = True
-        decoder.decode_batch(batch)
+        batch = [(2,)] * 8
+        decoder.decode_fired_batch(batch)
         first = decoder.decoded_syndromes
-        decoder.decode_batch(batch)
+        decoder.decode_fired_batch(batch)
         assert decoder.decoded_syndromes == first  # all memo hits
         assert decoder.memo_hits > 0
 
     def test_memo_limit_zero_disables_cross_batch_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
-        batch = np.zeros((4, 6), dtype=bool)
-        batch[:, 2] = True
-        decoder.decode_batch(batch)
-        decoder.decode_batch(batch)
+        batch = [(2,)] * 4
+        decoder.decode_fired_batch(batch)
+        decoder.decode_fired_batch(batch)
         # Decoded once per batch (within-batch dedup still applies).
         assert decoder.decoded_syndromes == 2
 
@@ -208,22 +216,18 @@ class TestDedupMachinery:
         monkeypatch.setenv("REPRO_SYNDROME_CACHE", "1")
         tiny = MwpmDecoder(MatchingGraph(_line_dem()))
         rng = np.random.default_rng(77)
-        dense = rng.random((32, 6)) < 0.25
-        a = tiny.decode_batch(dense)
-        b = big.decode_batch(dense)
-        assert np.array_equal(a.predicted_observables, b.predicted_observables)
+        fired = _fired(rng.random((32, 6)) < 0.25)
+        assert tiny.decode_fired_batch(fired) == big.decode_fired_batch(fired)
         assert tiny.memo_evictions > 0
 
-    def test_sparse_fired_batch_equivalent_to_dense(self):
+    def test_fired_batch_matches_per_shot_decode(self):
         decoder_a = MwpmDecoder(MatchingGraph(_line_dem()))
         decoder_b = MwpmDecoder(MatchingGraph(_line_dem()))
         rng = np.random.default_rng(9)
-        dense = rng.random((16, 6)) < 0.25
-        sparse = [tuple(int(i) for i in np.flatnonzero(row)) for row in dense]
-        a = decoder_a.decode_batch(dense)
+        sparse = _fired(rng.random((16, 6)) < 0.25)
         parities = decoder_b.decode_fired_batch(sparse)
         for s, parity in enumerate(parities):
-            assert parity == frozenset(np.flatnonzero(a.predicted_observables[s])), s
+            assert parity == decoder_a.decode_fired(sparse[s]), s
 
     def test_integer_ndarray_index_lists_via_decode_fired_batch(self):
         # np.flatnonzero output per shot routes through decode_fired_batch.
@@ -233,30 +237,9 @@ class TestDedupMachinery:
         dense[1, 0] = True
         dense[1, 2] = True
         parities = decoder.decode_fired_batch([np.flatnonzero(r) for r in dense])
-        b = MwpmDecoder(MatchingGraph(_line_dem())).decode_batch(dense)
-        for s, parity in enumerate(parities):
-            assert parity == frozenset(np.flatnonzero(b.predicted_observables[s])), s
-
-    def test_decode_batch_keeps_historical_dense_coercion(self):
-        # Nested Python bool lists AND 0/1 integer rows both meant dense
-        # data under the old np.asarray(..., dtype=bool) API; they must
-        # keep decoding identically (no dense/sparse guessing).
-        expected = MwpmDecoder(MatchingGraph(_line_dem())).decode_batch(
-            np.array([[1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]], dtype=bool))
-        for rows in (
-            [[True, False, False, False, False, False],
-             [False, False, True, True, False, False]],
-            [[1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]],
-        ):
-            got = MwpmDecoder(MatchingGraph(_line_dem())).decode_batch(rows)
-            assert np.array_equal(got.predicted_observables,
-                                  expected.predicted_observables)
-        assert expected.predicted_observables[0, 0]  # boundary error flips obs 0
-
-    def test_decode_batch_rejects_non_2d_input(self):
-        decoder = MwpmDecoder(MatchingGraph(_line_dem()))
-        with pytest.raises(ValueError):
-            decoder.decode_batch(np.zeros(6, dtype=bool))
+        b = MwpmDecoder(MatchingGraph(_line_dem())).decode_fired_batch(
+            _fired(dense))
+        assert parities == b
 
 
 # ----------------------------------------------------------------------
@@ -285,18 +268,15 @@ class TestBoundaryFallback:
         # carries must be applied.  The historical decoder silently skipped
         # the walk and predicted no flip.
         decoder = MwpmDecoder(MatchingGraph(self._orphan_dem()))
-        prediction = decoder.decode(np.array([False, False, False, True]))
-        assert prediction[0]
+        assert decoder.decode_fired((3,)) == frozenset({0})
 
     def test_anchor_detector_matches_boundary_directly(self):
         decoder = MwpmDecoder(MatchingGraph(self._orphan_dem()))
-        prediction = decoder.decode(np.array([False, False, True, False]))
-        assert not prediction.any()
+        assert decoder.decode_fired((2,)) == frozenset()
 
     def test_orphan_pair_still_matches_internally(self):
         decoder = MwpmDecoder(MatchingGraph(self._orphan_dem()))
-        prediction = decoder.decode(np.array([False, False, True, True]))
-        assert prediction[0]
+        assert decoder.decode_fired((2, 3)) == frozenset({0})
 
     def test_boundary_connected_dems_gain_no_fallback_edges(self):
         assert MatchingGraph(_line_dem())._fallback_edges == frozenset()

@@ -3,7 +3,8 @@
 Covers the engine's three load-bearing guarantees:
 
 * determinism — bit-identical failure counts for ``max_workers`` 1 and 4,
-  and single-shard runs identical to the legacy direct simulation;
+  and single-shard runs identical to the frozen reference sampler and
+  decoder;
 * caching — hit/miss behaviour, schema-bump invalidation, corruption safety;
 * adaptive scheduling — early stop on target failures / CI width, with the
   guaranteed minimum number of shots always honoured.
@@ -16,7 +17,8 @@ import pytest
 
 from repro.analysis.stats import BinomialEstimate
 from repro.core import adapt_patch
-from repro.decoder.matching import MatchingGraph, MwpmDecoder
+from repro.decoder.matching import MatchingGraph
+from repro.decoder.reference import reference_mwpm_decode
 from repro.engine import (
     CutoffCellTask,
     Engine,
@@ -37,7 +39,7 @@ from repro.experiments import run_memory_experiment, sample_defective_patches
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.stabilizer.dem import build_detector_error_model
-from repro.stabilizer.frame import FrameSimulator
+from repro.stabilizer.reference import reference_packed_sample
 from repro.surface_code import RotatedSurfaceCodeLayout, build_memory_circuit
 from repro.surface_code.layout import StabilityLayout
 
@@ -208,14 +210,16 @@ class TestTaskSpecs:
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_single_shard_matches_legacy_simulation(self):
-        """Default engine path == the historical direct FrameSimulator path."""
+        """Default engine path == the frozen per-target sampling loop plus
+        per-shot reference MWPM."""
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
         circuit = build_memory_circuit(patch, CircuitNoiseModel.standard(0.01), 3)
-        dem = build_detector_error_model(circuit)
-        decoder = MwpmDecoder(MatchingGraph(dem))
-        samples = FrameSimulator(circuit, seed=9).sample(400)
-        legacy = decoder.decode_batch(samples.detectors).logical_error_count(
-            samples.observables)
+        graph = MatchingGraph(build_detector_error_model(circuit))
+        samples = reference_packed_sample(circuit, 400, seed=9)
+        actual = samples.observables
+        legacy = sum(
+            bool(np.any(reference_mwpm_decode(graph, row) != actual[s]))
+            for s, row in enumerate(samples.detectors))
 
         result = run_memory_experiment(patch, 0.01, shots=400, seed=9)
         assert result.failures == legacy

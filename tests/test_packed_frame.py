@@ -1,29 +1,22 @@
-"""Packed vs unpacked frame simulation: instruction-by-instruction agreement.
+"""Packed frame simulation against the frozen per-target reference loop.
 
-The packed simulator must consume the RNG stream exactly like the unpacked
-one and hold a bit-identical frame after **every** instruction — that is
-what makes the pipeline's tallies bit-identical to the legacy path.  The
-``trace`` hooks on both simulators expose the frame after each instruction.
+The packed simulator must consume the RNG stream exactly like the frozen
+loop in :mod:`repro.stabilizer.reference` and hold a bit-identical frame
+after **every** instruction — that is what keeps the pipeline's tallies
+bit-identical across sampler changes.  The ``trace`` hooks on both expose
+the frame after each instruction.
 
-Since the vectorised dispatch landed, the suite additionally pins the
-simulator against the frozen per-target loop in
-:mod:`repro.stabilizer.reference` — for every instruction family, on both
-flip-mask strategies (sparse below ``_SPARSE_P_MAX``, dense above), on the
-fused no-trace path and the stepwise trace path, and on circuits with
-duplicate targets and chained two-qubit pairs (the fancy-indexing hazard
-cases).
+The suite pins the simulator against that loop for every instruction
+family, on both flip-mask strategies (sparse below ``_SPARSE_P_MAX``, dense
+above), on the fused no-trace path and the stepwise trace path, at shot
+counts straddling the 64-bit word boundary, and on circuits with duplicate
+targets and chained two-qubit pairs (the fancy-indexing hazard cases).
 """
 
 import numpy as np
 import pytest
 
-from repro.stabilizer import (
-    Circuit,
-    FrameSimulator,
-    PackedFrameSimulator,
-    sample_detectors,
-    sample_detectors_packed,
-)
+from repro.stabilizer import Circuit, PackedFrameSimulator
 from repro.stabilizer.bitpack import (
     num_words,
     pack_bits,
@@ -138,47 +131,17 @@ class TestBitpack:
             pack_rows(np.ones((2, 3, 4), dtype=bool))
 
 
-class TestInstructionByInstructionAgreement:
-    @pytest.mark.parametrize("shots", [1, 7, 64, 130])
-    def test_full_gate_set(self, shots):
-        circuit = _noisy_circuit()
-        packed_states = []
-        unpacked_states = []
-        PackedFrameSimulator(circuit, seed=99).sample(
-            shots, trace=lambda i, inst, x, z, m: packed_states.append(
-                (i, inst.name, x, z, m)))
-        FrameSimulator(circuit, seed=99).sample(
-            shots, trace=lambda i, inst, x, z, m: unpacked_states.append(
-                (i, inst.name, x, z, m)))
-        assert len(packed_states) == len(circuit) == len(unpacked_states)
-        for (i, name, px, pz, pm), (_, _, ux, uz, um) in zip(
-                packed_states, unpacked_states):
-            assert np.array_equal(px, ux), f"X frame diverged after {i}:{name}"
-            assert np.array_equal(pz, uz), f"Z frame diverged after {i}:{name}"
-            assert np.array_equal(pm, um), f"measurement record diverged after {i}:{name}"
-
-    def test_memory_circuit_agreement(self):
-        circuit = _memory_circuit()
-        for shots in (1, 64, 257):
-            unpacked = FrameSimulator(circuit, seed=7).sample(shots)
-            packed = PackedFrameSimulator(circuit, seed=7).sample(shots)
-            assert np.array_equal(unpacked.detectors, packed.detectors)
-            assert np.array_equal(unpacked.observables, packed.observables)
-
-
 class TestPackedSamples:
     def test_shapes_and_views(self):
         circuit = _memory_circuit()
-        samples = sample_detectors_packed(circuit, shots=70, seed=3)
+        samples = PackedFrameSimulator(circuit, seed=3).sample(70)
         assert samples.num_shots == 70
         assert samples.detectors.shape == (70, circuit.num_detectors)
         assert samples.observables.shape == (70, circuit.num_observables)
-        legacy = samples.to_detector_samples()
-        assert np.array_equal(legacy.detectors, samples.detectors)
 
     def test_sparse_extraction_matches_dense(self):
         circuit = _memory_circuit(p=0.01)
-        samples = sample_detectors_packed(circuit, shots=150, seed=5)
+        samples = PackedFrameSimulator(circuit, seed=5).sample(150)
         dense = samples.detectors
         fired = samples.fired_detectors()
         assert len(fired) == 150
@@ -195,14 +158,15 @@ class TestPackedSamples:
 
     def test_detection_fraction_matches_dense(self):
         circuit = _memory_circuit(p=0.01)
-        samples = sample_detectors_packed(circuit, shots=100, seed=6)
-        dense = sample_detectors(circuit, shots=100, seed=6)
+        samples = PackedFrameSimulator(circuit, seed=6).sample(100)
+        want = reference_packed_sample(circuit, 100, seed=6)
+        assert np.array_equal(samples.detectors, want.detectors)
         assert samples.detection_fraction() == pytest.approx(
-            dense.detection_fraction())
+            want.detectors.mean())
 
     def test_range_validation(self):
         circuit = _memory_circuit()
-        samples = sample_detectors_packed(circuit, shots=10, seed=1)
+        samples = PackedFrameSimulator(circuit, seed=1).sample(10)
         with pytest.raises(ValueError):
             samples.fired_detectors(5, 11)
         assert samples.fired_detectors(4, 4) == []
@@ -212,7 +176,7 @@ class TestPackedSamples:
         """Shot counts straddling the 64-bit word edge, including windows
         that start past word 0 (``word_lo > 0``)."""
         circuit = _memory_circuit(p=0.02)
-        samples = sample_detectors_packed(circuit, shots=shots, seed=shots)
+        samples = PackedFrameSimulator(circuit, seed=shots).sample(shots)
         dense = samples.detectors
         assert samples.fired_detectors() == [
             tuple(np.flatnonzero(dense[s])) for s in range(shots)]
@@ -226,7 +190,7 @@ class TestPackedSamples:
 
     def test_windows_past_first_word(self):
         circuit = _memory_circuit(p=0.02)
-        samples = sample_detectors_packed(circuit, shots=200, seed=3)
+        samples = PackedFrameSimulator(circuit, seed=3).sample(200)
         dense_obs = samples.observables
         for start, stop in [(64, 128), (65, 129), (128, 200), (129, 191)]:
             got = samples.flipped_observables(start, stop)
@@ -235,8 +199,8 @@ class TestPackedSamples:
 
 
 class TestZeroShotContract:
-    """``sample(0)`` is representable in engine shard math: both simulators
-    return an empty sample instead of raising; negatives still raise."""
+    """``sample(0)`` is representable in engine shard math: the simulator
+    returns an empty sample instead of raising; negatives still raise."""
 
     def test_packed_zero_shots_empty(self):
         circuit = _memory_circuit()
@@ -249,13 +213,6 @@ class TestZeroShotContract:
         assert samples.flipped_observables() == []
         assert samples.detection_fraction() == 0.0
 
-    def test_unpacked_zero_shots_empty(self):
-        circuit = _memory_circuit()
-        samples = FrameSimulator(circuit, seed=1).sample(0)
-        assert samples.num_shots == 0
-        assert samples.detectors.shape == (0, circuit.num_detectors)
-        assert samples.observables.shape == (0, circuit.num_observables)
-
     def test_zero_shots_consume_no_rng_state(self):
         circuit = _noisy_circuit()
         plain = PackedFrameSimulator(circuit, seed=8).sample(33)
@@ -264,17 +221,16 @@ class TestZeroShotContract:
         after_empty = sim.sample(33)
         assert np.array_equal(plain.detectors_packed, after_empty.detectors_packed)
 
-    @pytest.mark.parametrize("make", [PackedFrameSimulator, FrameSimulator])
-    def test_negative_shots_raise(self, make):
+    def test_negative_shots_raise(self):
         with pytest.raises(ValueError):
-            make(_noisy_circuit()).sample(-1)
+            PackedFrameSimulator(_noisy_circuit()).sample(-1)
 
 
 def _duplicate_target_circuit(p=0.2) -> Circuit:
     """Duplicate targets and chained pairs: every fancy-indexing hazard.
 
-    Sequential per-target semantics (the unpacked simulator) are the ground
-    truth; buffered fancy indexing would silently drop or misorder these
+    Sequential per-target semantics (the frozen reference loop) are the
+    ground truth; buffered fancy indexing would silently drop or misorder these
     updates without the dedup/grouping logic.
     """
     c = Circuit(5)
@@ -315,14 +271,17 @@ class TestVectorisedAgainstFrozenReference:
         assert np.array_equal(got.detectors_packed, want.detectors_packed)
         assert np.array_equal(got.observables_packed, want.observables_packed)
 
-    @pytest.mark.parametrize("p", [0.004, 0.3])
-    def test_stepwise_trace_matches_reference_per_instruction(self, p):
+    @pytest.mark.parametrize("p,shots", [
+        (0.004, 70), (0.3, 70),
+        (0.1, 1), (0.1, 7), (0.1, 64), (0.1, 130),   # word-boundary cases
+    ])
+    def test_stepwise_trace_matches_reference_per_instruction(self, p, shots):
         circuit = _noisy_circuit(p)
         got, want = [], []
         PackedFrameSimulator(circuit, seed=23).sample(
-            70, trace=lambda i, inst, x, z, m: got.append((i, inst.name, x, z, m)))
+            shots, trace=lambda i, inst, x, z, m: got.append((i, inst.name, x, z, m)))
         reference_packed_sample(
-            circuit, 70, seed=23,
+            circuit, shots, seed=23,
             trace=lambda i, inst, x, z, m: want.append((i, inst.name, x, z, m)))
         assert len(got) == len(want) == len(circuit)
         for (i, name, px, pz, pm), (_, _, rx, rz, rm) in zip(got, want):
@@ -336,11 +295,17 @@ class TestVectorisedAgainstFrozenReference:
         circuit = _duplicate_target_circuit(p)
         got = PackedFrameSimulator(circuit, seed=31).sample(shots)
         want = reference_packed_sample(circuit, shots, seed=31)
-        unpacked = FrameSimulator(circuit, seed=31).sample(shots)
         assert np.array_equal(got.detectors_packed, want.detectors_packed)
         assert np.array_equal(got.observables_packed, want.observables_packed)
-        assert np.array_equal(got.detectors, unpacked.detectors)
-        assert np.array_equal(got.observables, unpacked.observables)
+
+    def test_memory_circuit_agreement(self):
+        circuit = _memory_circuit()
+        for shots in (1, 64, 257):
+            want = reference_packed_sample(circuit, shots, seed=7)
+            got = PackedFrameSimulator(circuit, seed=7).sample(shots)
+            assert np.array_equal(got.detectors_packed, want.detectors_packed)
+            assert np.array_equal(got.observables_packed,
+                                  want.observables_packed)
 
     def test_memory_circuit_matches_reference_at_low_p(self):
         circuit = _memory_circuit(p=0.001)

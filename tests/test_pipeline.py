@@ -4,22 +4,27 @@ The two load-bearing properties:
 
 * chunking is invisible — chunk sizes 1, 7 and ``shots`` produce identical
   tallies (the satellite acceptance criterion), and
-* the pipeline is bit-identical to the legacy unpacked
-  sample-then-``decode_batch`` path for the same seed, which is what keeps
-  every engine result stable across this refactor.
+* the pipeline is bit-identical to the frozen references for the same
+  seed — :func:`~repro.stabilizer.reference.reference_packed_sample`
+  followed by per-shot
+  :func:`~repro.decoder.reference.reference_mwpm_decode` — which is what
+  keeps every engine result stable across sampler and decoder changes.
 """
+
+import numpy as np
 
 import pytest
 
 from repro.core.adaptation import adapt_patch
-from repro.decoder import MwpmDecoder
+from repro.decoder import MatchingGraph, MwpmDecoder
+from repro.decoder.reference import reference_mwpm_decode
 from repro.engine import DecodingPipeline, PipelineStats
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.fabrication import DefectSet
 from repro.stabilizer.dem import build_detector_error_model
-from repro.stabilizer.frame import FrameSimulator
+from repro.stabilizer.reference import reference_packed_sample
 from repro.surface_code.circuits import build_memory_circuit
 from repro.surface_code.layout import RotatedSurfaceCodeLayout
 
@@ -34,11 +39,14 @@ def _decoder(circuit):
     return MwpmDecoder(build_detector_error_model(circuit))
 
 
-def _legacy_failures(circuit, shots, seed):
-    """The historical unpacked path: sample, dense decode_batch, tally."""
-    samples = FrameSimulator(circuit, seed=seed).sample(shots)
-    decoded = _decoder(circuit).decode_batch(samples.detectors)
-    return decoded.logical_error_count(samples.observables)
+def _reference_failures(circuit, shots, seed):
+    """The frozen path: per-target sampling loop, per-shot MWPM, tally."""
+    samples = reference_packed_sample(circuit, shots, seed=seed)
+    graph = MatchingGraph(build_detector_error_model(circuit))
+    actual = samples.observables
+    return sum(
+        bool(np.any(reference_mwpm_decode(graph, row) != actual[s]))
+        for s, row in enumerate(samples.detectors))
 
 
 class TestChunkInvariance:
@@ -63,12 +71,12 @@ class TestChunkInvariance:
 
 class TestBitIdentityWithLegacyPath:
     @pytest.mark.parametrize("p", [0.001, 0.006])
-    def test_pipeline_matches_unpacked_decode_batch(self, p):
+    def test_pipeline_matches_frozen_reference_path(self, p):
         circuit = _circuit(p=p)
         shots = 120
         pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=32)
         stats = pipeline.run(shots, seed=77)
-        assert stats.failures == _legacy_failures(circuit, shots, seed=77)
+        assert stats.failures == _reference_failures(circuit, shots, seed=77)
 
     def test_repeat_runs_are_deterministic_and_warm(self):
         circuit = _circuit()
@@ -158,13 +166,13 @@ class TestEngineIntegration:
     def test_engine_result_matches_legacy_numbers(self):
         # The executor now routes every shard through the pipeline; numbers
         # must stay bit-identical to the pre-pipeline engine (and to the
-        # direct legacy path, for single-shard fixed-policy runs).
+        # frozen reference path, for single-shard fixed-policy runs).
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
         task = LerPointTask.from_patch("memory", patch, 0.004)
         engine = Engine(EngineConfig())
         result = engine.run_ler(task, shots=300, seed=404)
         circuit = task.build_circuit()
-        assert result.failures == _legacy_failures(circuit, 300, seed=404)
+        assert result.failures == _reference_failures(circuit, 300, seed=404)
 
     def test_multi_shard_determinism(self):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())

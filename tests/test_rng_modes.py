@@ -29,7 +29,7 @@ from repro.engine.scheduler import ShotPolicy
 from repro.engine.tasks import CutoffCellTask, task_from_payload
 from repro.noise import DefectSet
 from repro.service.specs import normalize_spec
-from repro.stabilizer import Circuit, PackedFrameSimulator, sample_detectors_packed
+from repro.stabilizer import Circuit, PackedFrameSimulator
 from repro.stabilizer.bitpack import popcount
 from repro.stabilizer.packed import (
     RNG_MODES,
@@ -142,12 +142,6 @@ class TestBitgenSampler:
                 assert not np.any(rows[:, -1] & ~tail)
         # popcount-based consumers therefore see real shots only.
         assert 0.0 <= s.detection_fraction() <= 1.0
-
-    def test_sample_detectors_packed_passthrough(self):
-        c = _noisy_circuit()
-        a = sample_detectors_packed(c, 200, seed=19, rng_mode="bitgen")
-        b = PackedFrameSimulator(c, seed=19, rng_mode="bitgen").sample(200)
-        assert np.array_equal(a.detectors_packed, b.detectors_packed)
 
 
 class TestBitgenStatistics:

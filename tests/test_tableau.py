@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stabilizer import Circuit, TableauSimulator
+from repro.stabilizer import Circuit, TableauSimulator, noiseless_deterministic
 
 
 class TestGates:
@@ -134,27 +134,70 @@ class TestCircuitExecution:
         assert TableauSimulator(1, seed=0).run(c).all_detectors_zero()
 
 
+def _random_detector_circuit(rng, n=4) -> Circuit:
+    """Three measurement rounds around random Clifford layers, two detectors.
+
+    Round 0 measures ``|0...0>``; an H layer on a random subset, then random
+    CX/CZ/S gates, precede round 1; random CX/CZ/S gates precede round 2.
+    No gate after the H layer mixes X into Z, so every Z outcome is a
+    parity of the H-layer bits, and a deterministic detector is 0 — the
+    convention every circuit in this library follows.  Each detector is a
+    round-1 outcome or the comparison of a qubit's round-1 and round-2
+    outcomes, so it is random or not depending on the draw.
+    """
+    def mix(c, gates):
+        for _ in range(gates):
+            kind = rng.integers(0, 3)
+            if kind == 2:
+                c.append("S", [int(rng.integers(0, n))])
+            else:
+                a, b = rng.choice(n, size=2, replace=False)
+                c.append("CX" if kind == 0 else "CZ", [int(a), int(b)])
+
+    c = Circuit(n)
+    c.append("R", list(range(n)))
+    c.append("M", list(range(n)))
+    hadamards = [q for q in range(n) if rng.random() < 0.4]
+    if hadamards:
+        c.append("H", hadamards)
+    mix(c, 4)
+    c.append("M", list(range(n)))
+    mix(c, 4)
+    c.append("M", list(range(n)))
+    for _ in range(2):
+        q = int(rng.integers(0, n))
+        c.append("DETECTOR", [n + q] if rng.random() < 0.5 else [n + q, 2 * n + q])
+    return c
+
+
 class TestAgreementWithFrameSimulator:
     def test_random_clifford_circuit_detector_determinism_agrees(self):
         """Circuits whose detectors the frame simulator treats as deterministic
-        must indeed be deterministic according to the exact simulator."""
+        must indeed be deterministic according to the exact simulator, and
+        the ones it finds random must fire in the exact simulator too."""
         rng = np.random.default_rng(12)
-        for trial in range(5):
-            c = Circuit(4)
-            c.append("R", [0, 1, 2, 3])
-            for _ in range(12):
-                kind = rng.integers(0, 3)
-                if kind == 0:
-                    c.append("H", [int(rng.integers(0, 4))])
-                elif kind == 1:
-                    a, b = rng.choice(4, size=2, replace=False)
-                    c.append("CX", [int(a), int(b)])
-                else:
-                    c.append("X", [int(rng.integers(0, 4))])
-            # Measure twice and compare: always a valid detector.
-            c.append("M", [0, 1, 2, 3])
-            c.append("MR", [0, 1, 2, 3])
-            res = TableauSimulator(4, seed=trial).run(c)
-            # Z-basis measurement after reset-only Clifford circuit without H
-            # may be random; we only check the simulator runs and records.
-            assert len(res.measurements) == 8
+        verdicts = []
+        for _ in range(30):
+            c = _random_detector_circuit(rng)
+            deterministic = noiseless_deterministic(c)
+            verdicts.append(deterministic)
+            if deterministic:
+                for seed in range(4):
+                    assert TableauSimulator(4, seed=seed).run(c).all_detectors_zero()
+            else:
+                assert any(not TableauSimulator(4, seed=seed).run(c).all_detectors_zero()
+                           for seed in range(16))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_random_detector_past_a_long_prefix_fires(self):
+        c = Circuit(2)
+        c.append("R", [0, 1])
+        for _ in range(110):
+            c.append("M", [1])
+        c.append("M", [0])
+        c.append("H", [0])
+        c.append("M", [0])
+        c.append("DETECTOR", [c.num_measurements - 1])
+        assert not noiseless_deterministic(c)
+        assert any(not TableauSimulator(2, seed=seed).run(c).all_detectors_zero()
+                   for seed in range(16))
