@@ -213,6 +213,16 @@ class TestZeroShotContract:
         assert samples.flipped_observables() == []
         assert samples.detection_fraction() == 0.0
 
+    def test_unpacked_zero_shots_empty(self):
+        # The dense shot-major views the frozen references and the decoder
+        # benchmark read must be empty boolean arrays of the right width.
+        circuit = _memory_circuit()
+        samples = PackedFrameSimulator(circuit, seed=1).sample(0)
+        assert samples.detectors.shape == (0, circuit.num_detectors)
+        assert samples.observables.shape == (0, circuit.num_observables)
+        assert samples.detectors.dtype == bool
+        assert samples.observables.dtype == bool
+
     def test_zero_shots_consume_no_rng_state(self):
         circuit = _noisy_circuit()
         plain = PackedFrameSimulator(circuit, seed=8).sample(33)
