@@ -8,10 +8,9 @@ The ``engine_config`` fixture builds the Monte-Carlo execution engine from
 the environment and installs it as the process default, so the same
 benchmark run exercises the serial path (no env vars), the process-pool path
 (``REPRO_WORKERS=4``), or the cached path (``REPRO_CACHE=.repro-cache``)
-without any edits.  LER-based benchmarks always route through the engine
-(results bit-identical across worker counts); the yield Monte-Carlo paths
-use the pool only when ``REPRO_WORKERS > 1`` (their serial path keeps the
-legacy sequential RNG stream for seed compatibility).
+without any edits.  LER and yield benchmarks both always route through the
+engine, so their numbers are bit-identical across worker counts and cache
+states.
 """
 
 import json

@@ -11,6 +11,11 @@ about 25 billion syndrome cycles.  The paper estimates
   ``P_L(d) = A (p / p_th)**((d+1)/2)`` per patch per round, weighting by the
   code-distance distribution of the accepted (or, for a monolithic device,
   all) patches (Tables 3-4).
+
+The super-stabilizer yield and accepted-distance distribution come from a
+:class:`~repro.chiplet.yield_model.YieldEstimator`, i.e. one
+``Engine.run_yield``, so seeded estimates do not depend on the engine's
+backend, worker count or cache.
 """
 
 from __future__ import annotations
@@ -159,8 +164,8 @@ def estimate_super_stabilizer_resources(
 
     The yield and the code-distance distribution of accepted chiplets are
     estimated by Monte-Carlo (or taken from a pre-computed ``yield_result``).
-    An ``engine`` (see :mod:`repro.engine`) fans the sampling out over its
-    worker pool.
+    The sampling runs on ``engine``, or on the env-configured default
+    engine when none is given (see :mod:`repro.engine`).
     """
     d = workload.target_distance
     if yield_result is None:

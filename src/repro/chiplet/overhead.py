@@ -7,8 +7,10 @@ the study - the choice of chiplet size, the comparison against the
 defect-intolerant baseline, the overhead envelope of Fig. 18 - derives from
 this quantity.
 
-The Monte-Carlo cells fan out over the engine's worker pool
-(:meth:`YieldEstimator.run` with an ``engine``); when a study additionally
+Every Monte-Carlo cell is one :meth:`YieldEstimator.run`, i.e. one
+``Engine.run_yield`` on the study's ``engine`` (or the env-configured
+default engine): cells fan out over its backend, seeded cells are cached,
+and the counts depend on neither.  When a study additionally
 measures logical error rates for its accepted chiplets it does so through
 the engine's fused :class:`~repro.engine.pipeline.DecodingPipeline`, the
 same batched hot path every LER driver uses.

@@ -13,11 +13,13 @@ cutoff sweep, the LER benchmarks) hand the sampled patches to
 :class:`~repro.engine.tasks.LerPointTask` cells, which decode on the
 engine's fused :class:`~repro.engine.pipeline.DecodingPipeline`.
 
-Engine-routed runs go through a frozen :class:`~repro.engine.tasks.YieldTask`
-spec whenever the estimator's criterion and boundary standard are the repo's
-own types, which buys yield sweeps the same sharded fan-out *and*
-content-addressed on-disk caching that LER tasks enjoy; estimators carrying
-custom criterion objects fall back to the direct (un-cached) block fan-out.
+Every run goes through one path: :meth:`YieldEstimator.run` mirrors the
+estimator into a frozen :class:`~repro.engine.tasks.YieldTask` spec and hands
+it to :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>`,
+which fans sample blocks out over the engine's backend and caches seeded
+results under the task's content hash, exactly like LER tasks.  Only the
+repo's own criterion, defect-model and boundary types are representable;
+anything else is rejected with a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..analysis.stats import BinomialEstimate
 from ..core.postselection import PostSelectionCriterion
-from ..engine.rng import Seed, child_stream, from_fingerprint, seed_fingerprint
+from ..engine.executor import Engine, default_engine
+from ..engine.rng import Seed
 from ..engine.tasks import YieldTask
 from ..noise.fabrication import DefectModel
 from ..surface_code.layout import RotatedSurfaceCodeLayout
-from .architecture import Chiplet
 from .boundary import BoundaryStandard
 
 __all__ = ["YieldResult", "YieldEstimator", "defect_intolerant_yield"]
@@ -92,89 +92,32 @@ class YieldEstimator:
         self.allow_rotation = allow_rotation
         self.boundary_standard = boundary_standard
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.layout = RotatedSurfaceCodeLayout(chiplet_size)
 
-    # ------------------------------------------------------------------
-    def _evaluate_one(self) -> tuple:
-        return _evaluate_chiplet(self.layout, self.defect_model, self.criterion,
-                                 self.allow_rotation, self.boundary_standard,
-                                 self.rng)
-
-    def run(self, samples: int, *, engine=None) -> YieldResult:
+    def run(self, samples: int, *, engine: Optional[Engine] = None) -> YieldResult:
         """Sample ``samples`` chiplets and measure the acceptance fraction.
 
-        Without an ``engine`` this is the legacy sequential Monte-Carlo
-        (sample ``i+1`` continues sample ``i``'s RNG stream).  With an
-        engine, sample ``i`` draws from RNG child stream ``i`` of the
-        estimator's seed and blocks of samples fan out over the engine's
-        process pool; counts merge by plain summation, so engine results are
-        identical for any worker count (but differ from the legacy stream
-        split, much like the multi-shard LER path).
+        The estimator is mirrored into a frozen :class:`YieldTask` and run by
+        :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>` on
+        ``engine`` or, when none is given, on the env-configured
+        :func:`~repro.engine.executor.default_engine`.  Sample ``i`` draws
+        RNG child stream ``i`` of the estimator's seed, so the counts are
+        identical for any backend, worker count and cache state, and
+        repeated calls on one estimator return the same result.
 
-        Engine runs route through a frozen :class:`YieldTask` whenever the
-        criterion/boundary are representable, so seeded sweeps additionally
-        hit the engine's on-disk result cache; the direct block fan-out
-        below is the (bit-identical) fallback for custom criterion objects.
+        Raises ``TypeError`` when the criterion, defect model or boundary
+        standard is not one of the repo's own types (see
+        :meth:`YieldTask.from_estimator`).
         """
-        if samples <= 0:
-            raise ValueError("samples must be positive")
-        if engine is not None:
-            task = YieldTask.from_estimator(self, samples)
-            if task is not None:
-                return engine.run_yield(task, seed=self.seed)
-            # Unrepresentable spec: the direct block fan-out keeps the same
-            # stateless per-index child streams as the task route (repeated
-            # calls are idempotent, unlike the legacy loop's mutable rng),
-            # it just cannot be cached.
-            return self._run_engine(samples, engine)
-        accepted = 0
-        distance_counts: Dict[int, int] = {}
-        accepted_counts: Dict[int, int] = {}
-        for _ in range(samples):
-            metrics, ok = self._evaluate_one()
-            distance_counts[metrics.distance] = distance_counts.get(metrics.distance, 0) + 1
-            if ok:
-                accepted += 1
-                accepted_counts[metrics.distance] = accepted_counts.get(metrics.distance, 0) + 1
-        return YieldResult(
-            chiplet_size=self.chiplet_size,
-            defect_rate=self.defect_model.rate,
-            defect_model_kind=self.defect_model.kind,
-            samples=samples,
-            accepted=accepted,
-            distance_counts=distance_counts,
-            accepted_distance_counts=accepted_counts,
-        )
-
-    def _run_engine(self, samples: int, engine) -> YieldResult:
-        """Fan sample blocks out over the engine's backend and merge."""
-        fp = seed_fingerprint(self.seed)
-        jobs = [(self.chiplet_size, self.defect_model, self.criterion,
-                 self.allow_rotation, self.boundary_standard, fp, start, stop)
-                for start, stop in yield_block_ranges(
-                    samples, engine.parallel_slots)]
-        accepted, distance_counts, accepted_counts = merge_yield_blocks(
-            engine.starmap(_evaluate_yield_block, jobs))
-        return YieldResult(
-            chiplet_size=self.chiplet_size,
-            defect_rate=self.defect_model.rate,
-            defect_model_kind=self.defect_model.kind,
-            samples=samples,
-            accepted=accepted,
-            distance_counts=distance_counts,
-            accepted_distance_counts=accepted_counts,
-        )
+        task = YieldTask.from_estimator(self, samples)
+        return (engine or default_engine()).run_yield(task, seed=self.seed)
 
 
 def yield_block_ranges(samples: int, parallel_slots: int):
-    """Contiguous (start, stop) sample blocks for one yield run.
+    """Contiguous (start, stop) sample blocks for one ``Engine.run_yield``.
 
     Purely a throughput knob (sized so one round of blocks splits across
     the backend's job slots — pool workers or remote hosts): per-index RNG
-    streams make the partition invisible in the counts.  Shared by the
-    task-routed path (``Engine.run_yield``) and the direct fallback
-    (:meth:`YieldEstimator._run_engine`).
+    streams make the partition invisible in the counts.
     """
     workers = max(1, parallel_slots)
     block = max(1, -(-samples // (4 * workers)))
@@ -196,63 +139,6 @@ def merge_yield_blocks(outs) -> tuple:
             distance_counts[d] = distance_counts.get(d, 0) + c
         for d, c in block_acc.items():
             accepted_counts[d] = accepted_counts.get(d, 0) + c
-    return accepted, distance_counts, accepted_counts
-
-
-def _evaluate_chiplet(
-    layout: RotatedSurfaceCodeLayout,
-    defect_model: DefectModel,
-    criterion: PostSelectionCriterion,
-    allow_rotation: bool,
-    boundary_standard: Optional[BoundaryStandard],
-    rng: np.random.Generator,
-) -> tuple:
-    """Sample one chiplet and test acceptance.
-
-    Single source of truth for the acceptance logic: both the legacy
-    sequential path and the engine's worker blocks call this, so the two
-    cannot drift apart.
-    """
-    chiplet = Chiplet(layout=layout, defects=defect_model.sample(layout, rng))
-    if allow_rotation:
-        chiplet = chiplet.best_orientation(criterion)
-    metrics = chiplet.metrics
-    accepted = criterion.accepts(metrics)
-    if accepted and boundary_standard is not None:
-        accepted = boundary_standard.accepts(chiplet.patch)
-    return metrics, accepted
-
-
-def _evaluate_yield_block(
-    chiplet_size: int,
-    defect_model: DefectModel,
-    criterion: PostSelectionCriterion,
-    allow_rotation: bool,
-    boundary_standard: Optional[BoundaryStandard],
-    root_fp,
-    start: int,
-    stop: int,
-) -> tuple:
-    """Worker-side evaluation of sample indices [start, stop).
-
-    Top-level so the process pool can pickle it; sample ``i`` always draws
-    from child stream ``i`` of the root fingerprint, making block boundaries
-    and worker assignment irrelevant to the outcome.
-    """
-    layout = RotatedSurfaceCodeLayout(chiplet_size)
-    root = from_fingerprint(root_fp)
-    accepted = 0
-    distance_counts: Dict[int, int] = {}
-    accepted_counts: Dict[int, int] = {}
-    for idx in range(start, stop):
-        stream = None if root is None else child_stream(root, idx)
-        rng = np.random.default_rng(stream)
-        metrics, ok = _evaluate_chiplet(layout, defect_model, criterion,
-                                        allow_rotation, boundary_standard, rng)
-        distance_counts[metrics.distance] = distance_counts.get(metrics.distance, 0) + 1
-        if ok:
-            accepted += 1
-            accepted_counts[metrics.distance] = accepted_counts.get(metrics.distance, 0) + 1
     return accepted, distance_counts, accepted_counts
 
 

@@ -49,7 +49,7 @@ from .backends import BACKEND_NAMES, Backend, create_backend
 from .cache import ResultCache
 from .pipeline import DecodingPipeline, _memo_cache
 from .rng import Seed, as_seed_sequence, child_stream, from_fingerprint, seed_fingerprint
-from .scheduler import ShotPolicy, ShotScheduler, rng_mode_shot_cost
+from .scheduler import DEFAULT_SHARD_SIZE, ShotPolicy, ShotScheduler, rng_mode_shot_cost
 from .tasks import LerPointTask, PatchSampleTask, YieldTask, canonical_json
 
 __all__ = [
@@ -109,7 +109,7 @@ class EngineConfig:
     """
 
     max_workers: int = 1
-    shard_size: int = 4096
+    shard_size: int = DEFAULT_SHARD_SIZE
     cache_dir: Optional[str] = None
     backend: str = "process"
     hosts: Tuple[Tuple[str, int], ...] = ()
@@ -146,7 +146,8 @@ class EngineConfig:
         env = os.environ if env is None else env
         workers = env_int("REPRO_WORKERS", 1, minimum=1, env=env)
         cache = env_str("REPRO_CACHE", env=env)
-        shard = env_int("REPRO_SHARD_SIZE", 4096, minimum=1, env=env)
+        shard = env_int("REPRO_SHARD_SIZE", DEFAULT_SHARD_SIZE, minimum=1,
+                        env=env)
         backend = env_choice("REPRO_BACKEND", "process", BACKEND_NAMES,
                              env=env)
         hosts = env_hosts("REPRO_HOSTS", env=env)
@@ -533,18 +534,38 @@ def _run_patch_attempts(task: PatchSampleTask, root_fp, start: int, stop: int) -
 def _run_yield_block(task: YieldTask, root_fp, start: int, stop: int) -> tuple:
     """Evaluate yield sample indices [start, stop); return merged counts.
 
-    Thin task-unpacking shim over
-    :func:`repro.chiplet.yield_model._evaluate_yield_block`, so the
-    per-index RNG-stream contract (sample ``i`` draws child stream ``i`` of
-    the root fingerprint) lives in exactly one place and the task-routed
-    path can never drift from the estimator's direct fallback.
+    The one place yield samples are drawn and judged.  Sample ``i`` always
+    draws from child stream ``i`` of the root fingerprint, so block
+    boundaries and worker assignment never change the counts; ``root_fp``
+    of ``None`` means fresh OS entropy per sample (unseeded, not
+    reproducible).  Returns ``(accepted, distance counts, accepted
+    distance counts)`` for :func:`~repro.chiplet.yield_model.merge_yield_blocks`.
     """
-    from ..chiplet.yield_model import _evaluate_yield_block
+    from ..chiplet.architecture import Chiplet
 
-    return _evaluate_yield_block(task.chiplet_size, task.defect_model(),
-                                 task.criterion(), task.allow_rotation,
-                                 task.boundary_standard(), root_fp,
-                                 start, stop)
+    layout = task.layout()
+    model = task.defect_model()
+    criterion = task.criterion()
+    boundary_standard = task.boundary_standard()
+    root = from_fingerprint(root_fp)
+    accepted = 0
+    distance_counts: Dict[int, int] = {}
+    accepted_counts: Dict[int, int] = {}
+    for idx in range(start, stop):
+        stream = None if root is None else child_stream(root, idx)
+        rng = np.random.default_rng(stream)
+        chiplet = Chiplet(layout=layout, defects=model.sample(layout, rng))
+        if task.allow_rotation:
+            chiplet = chiplet.best_orientation(criterion)
+        metrics = chiplet.metrics
+        ok = criterion.accepts(metrics)
+        if ok and boundary_standard is not None:
+            ok = boundary_standard.accepts(chiplet.patch)
+        distance_counts[metrics.distance] = distance_counts.get(metrics.distance, 0) + 1
+        if ok:
+            accepted += 1
+            accepted_counts[metrics.distance] = accepted_counts.get(metrics.distance, 0) + 1
+    return accepted, distance_counts, accepted_counts
 
 
 def seeded_task_key(task, fp) -> str:
@@ -971,7 +992,9 @@ class Engine:
     def run_yield(self, task: YieldTask, *, seed: Seed = None):
         """Run a chiplet yield task; returns a :class:`YieldResult`.
 
-        Sample blocks fan out over the worker pool and counts merge by plain
+        The only way yield is computed: ``YieldEstimator.run`` (and with it
+        every figure entry point) and the service's yield jobs all land here.
+        Sample blocks fan out over the backend and counts merge by plain
         summation; because sample ``i`` always draws RNG child stream ``i``
         of ``seed``, the result is identical for any worker count and block
         split.  Seeded runs land in the on-disk result cache under the

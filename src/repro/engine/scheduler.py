@@ -28,7 +28,13 @@ from typing import List, Optional, Tuple
 
 from ..analysis.stats import wilson_interval
 
-__all__ = ["ShotPolicy", "ShotScheduler", "Shard", "rng_mode_shot_cost"]
+__all__ = ["DEFAULT_SHARD_SIZE", "ShotPolicy", "ShotScheduler", "Shard",
+           "rng_mode_shot_cost"]
+
+#: Max shots per shard unless configured otherwise (``EngineConfig``,
+#: ``REPRO_SHARD_SIZE``, service job specs).  It is part of every LER cache
+#: key, so changing it re-keys the cache and the multi-shard RNG split.
+DEFAULT_SHARD_SIZE = 4096
 
 # One unit of work handed to a worker: (global shard index, shots to run).
 Shard = Tuple[int, int]
@@ -139,7 +145,7 @@ class ShotPolicy:
             "growth": self.growth,
         }
 
-    def estimated_cost(self, shard_size: int = 4096,
+    def estimated_cost(self, shard_size: int = DEFAULT_SHARD_SIZE,
                        expected_rate: float = 0.0,
                        rng_mode: str = "exact") -> int:
         """Expected execution cost in exact-shot equivalents (ranking metric).

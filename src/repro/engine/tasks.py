@@ -404,16 +404,17 @@ class YieldTask(TaskSpec):
     """A chiplet yield Monte-Carlo with post-selection (Figs. 12-17).
 
     Mirrors a :class:`~repro.chiplet.yield_model.YieldEstimator` run into
-    primitive fields, so yield sweeps shard over the worker pool and land in
-    the content-addressed on-disk cache exactly like LER tasks.  Sample ``i``
-    of the batch always draws RNG child stream ``i`` of the run's root seed,
-    so the counts are identical no matter how samples are blocked across
-    workers.
+    primitive fields; every yield run executes as one of these through
+    :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>`, so
+    yield sweeps shard over the backend and land in the content-addressed
+    on-disk cache exactly like LER tasks.  Sample ``i`` of the batch always
+    draws RNG child stream ``i`` of the run's root seed, so the counts are
+    identical no matter how samples are blocked across workers.
 
-    Only the repo's own criterion/boundary types are representable
-    (:class:`DistanceCriterion`, :class:`DefectFreeCriterion`,
-    :class:`BoundaryStandard`); estimators carrying custom objects fall back
-    to the un-cached block fan-out (see :meth:`from_estimator`).
+    Only the repo's own criterion/boundary/defect-model types are
+    representable (:class:`DistanceCriterion`, :class:`DefectFreeCriterion`,
+    :class:`BoundaryStandard`, :class:`DefectModel`); see
+    :meth:`from_estimator`.
     """
 
     chiplet_size: int
@@ -441,18 +442,25 @@ class YieldTask(TaskSpec):
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_estimator(cls, estimator, samples: int) -> Optional["YieldTask"]:
+    def from_estimator(cls, estimator, samples: int) -> "YieldTask":
         """Primitive spec of a ``YieldEstimator.run(samples)`` call.
 
-        Returns ``None`` when the estimator carries criterion, defect-model
-        or boundary objects the spec cannot represent (custom subclasses
-        would silently change meaning under an exact-type round-trip, so
-        every check is deliberately ``type() is``, not ``isinstance``).
+        Raises ``TypeError`` naming the first criterion, defect-model or
+        boundary object the spec cannot represent.  Custom subclasses would
+        silently change meaning under an exact-type round-trip, so every
+        check is deliberately ``type() is``, not ``isinstance``.
         """
         from ..core.postselection import DefectFreeCriterion, DistanceCriterion
 
+        def unrepresentable(role: str, obj) -> TypeError:
+            return TypeError(
+                f"YieldTask cannot represent {role} of type "
+                f"{type(obj).__qualname__!r}; yield runs accept only the "
+                "repo's own DefectModel, DistanceCriterion/DefectFreeCriterion "
+                "and BoundaryStandard types")
+
         if type(estimator.defect_model) is not DefectModel:
-            return None
+            raise unrepresentable("defect model", estimator.defect_model)
         crit = estimator.criterion
         if type(crit) is DistanceCriterion:
             criterion_kind = "distance"
@@ -461,14 +469,14 @@ class YieldTask(TaskSpec):
         elif type(crit) is DefectFreeCriterion:
             criterion_kind, target, use_ops = "defect_free", None, True
         else:
-            return None
+            raise unrepresentable("criterion", crit)
         boundary = None
         std = estimator.boundary_standard
         if std is not None:
             from ..chiplet.boundary import BoundaryStandard
 
             if type(std) is not BoundaryStandard:
-                return None
+                raise unrepresentable("boundary standard", std)
             boundary = (std.name, bool(std.require_no_deformation),
                         bool(std.all_edges),
                         None if std.target_distance is None

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.executor import Engine, default_engine
+from ..engine.executor import Engine
 from ..engine.rng import Seed, child_stream, spawn_streams
 from ..chiplet.application import (
     ResourceEstimate,
@@ -73,31 +73,6 @@ __all__ = [
     "table1_and_2_resources",
     "table3_and_4_fidelity",
 ]
-
-
-def _pool_engine(engine: Optional[Engine]) -> Optional[Engine]:
-    """Engine to hand to the yield Monte-Carlo paths.
-
-    An explicitly passed engine always wins.  Otherwise the env-configured
-    default engine is used only when it actually brings something: parallel
-    execution slots (a process pool via ``REPRO_WORKERS``, or a remote
-    socket fleet via ``REPRO_BACKEND=socket`` + ``REPRO_HOSTS``), or
-    (since yield runs route through cacheable ``YieldTask`` specs) an
-    on-disk result cache.  With neither, the serial yield path keeps its
-    legacy sequential RNG stream (seed compatibility), whereas the engine
-    path re-keys sample ``i`` to RNG child stream ``i`` — deterministic for
-    any worker or host count, but a different stream split than the legacy
-    loop.  Consequence (documented in the README): enabling
-    ``REPRO_CACHE``, ``REPRO_WORKERS`` or a parallel ``REPRO_BACKEND``
-    shifts seeded yield figures once; the shifted numbers are then stable
-    and cache-hit reproducible.
-    """
-    if engine is not None:
-        return engine
-    default = default_engine()
-    if default.parallel_slots > 1 or default.cache is not None:
-        return default
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +199,7 @@ def _yield_and_cost(
         samples=samples,
         allow_rotation=allow_rotation,
         seed=seed,
-        engine=_pool_engine(engine),
+        engine=engine,
     )
     return study.run()
 
@@ -355,7 +330,7 @@ def figure15_boundary(
                 chiplet_size, model, criterion, boundary_standard=standard,
                 seed=cell,
             )
-            result = estimator.run(samples, engine=_pool_engine(engine))
+            result = estimator.run(samples, engine=engine)
             out[name].append((rate, result.yield_fraction))
     return out
 
@@ -381,9 +356,8 @@ def figure16_rotation(
                 estimator = YieldEstimator(size, model, criterion,
                                            allow_rotation=allow_rotation,
                                            seed=seed)
-                series.append((rate,
-                               estimator.run(samples,
-                                             engine=_pool_engine(engine)).yield_fraction))
+                series.append((rate, estimator.run(
+                    samples, engine=engine).yield_fraction))
             out[label] = series
     return out
 
@@ -432,7 +406,7 @@ def figure19_distance_distribution(
     model = DefectModel(defect_model_kind, defect_rate)
     estimator = YieldEstimator(chiplet_size, model,
                                DistanceCriterion(target_distance), seed=seed)
-    result = estimator.run(samples, engine=_pool_engine(engine))
+    result = estimator.run(samples, engine=engine)
     return result.distance_distribution()
 
 
@@ -467,7 +441,7 @@ def table1_and_2_resources(
         "defect-intolerant": estimate_defect_intolerant_resources(model, workload),
         "super-stabilizer": estimate_super_stabilizer_resources(
             model, chiplet_size, workload=workload, samples=samples, seed=seed,
-            engine=_pool_engine(engine)),
+            engine=engine),
     }
 
 

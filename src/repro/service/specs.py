@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 
 from ..engine.executor import SweepItem, ler_cache_key, seeded_task_key
 from ..engine.rng import as_seed_sequence, child_stream, from_fingerprint, seed_fingerprint
-from ..engine.scheduler import ShotPolicy
+from ..engine.scheduler import DEFAULT_SHARD_SIZE, ShotPolicy
 from ..engine.tasks import LerPointTask, YieldTask, task_from_payload
 
 __all__ = [
@@ -58,11 +58,6 @@ __all__ = [
 ]
 
 JOB_KINDS = ("ler", "sweep", "yield")
-
-#: Matches :attr:`repro.engine.executor.EngineConfig.shard_size` — the value
-#: a plain ``Engine()`` uses, so service and library default to the same
-#: cache keys.
-DEFAULT_SHARD_SIZE = 4096
 
 #: Scheduler cost of one yield sample, in shot-equivalents.  A yield sample
 #: adapts a whole patch and evaluates its distance, which is orders of

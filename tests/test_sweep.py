@@ -3,14 +3,16 @@
 The sweep scheduler's contract is that interleaving is *invisible* in the
 numbers: ``run_ler_many`` / ``run_sweep`` must be bit-identical to running
 every item alone, for any worker count, any policy mix, and any cache
-warm/cold permutation.  Same for ``YieldEstimator`` runs routed through the
-frozen ``YieldTask`` spec.
+warm/cold permutation.  Same for ``YieldEstimator`` runs, which always
+execute as a frozen ``YieldTask`` through ``Engine.run_yield`` — with or
+without an explicit engine — and reject criterion, defect-model and boundary
+types the spec cannot represent.
 """
 
 import pytest
 
 from repro.chiplet import YieldEstimator
-from repro.chiplet.boundary import STANDARD_3
+from repro.chiplet.boundary import STANDARD_3, BoundaryStandard
 from repro.core import adapt_patch
 from repro.core.postselection import (
     DefectFreeCriterion,
@@ -25,8 +27,11 @@ from repro.engine import (
     ShotPolicy,
     SweepItem,
     YieldTask,
+    default_engine,
+    set_default_engine,
 )
 from repro.engine.executor import _run_ler_shard
+from repro.experiments.paper import figure12_yield
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT, LINK_ONLY
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -223,6 +228,19 @@ def yield_tuple(r):
             r.accepted_distance_counts)
 
 
+class AlwaysAccept(PostSelectionCriterion):
+    def accepts(self, metrics):
+        return True
+
+
+class CorrelatedDefects(DefectModel):
+    pass
+
+
+class LenientStandard(BoundaryStandard):
+    pass
+
+
 class TestYieldEngineRouting:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_invariant(self, workers):
@@ -231,67 +249,81 @@ class TestYieldEngineRouting:
         ref = yield_estimator().run(60, engine=Engine(EngineConfig()))
         assert yield_tuple(got) == yield_tuple(ref)
 
-    def test_task_route_matches_direct_block_fanout(self):
-        """The YieldTask route must reproduce the pre-task engine path."""
-        engine = Engine(EngineConfig(max_workers=2))
-        routed = yield_estimator().run(60, engine=engine)
-        direct = yield_estimator()._run_engine(60, engine)
-        assert yield_tuple(routed) == yield_tuple(direct)
+    def test_estimator_run_matches_hand_built_task(self):
+        """``run`` is exactly ``Engine.run_yield`` on the mirrored spec."""
+        est = yield_estimator()
+        hand = YieldTask(chiplet_size=7, defect_model_kind=LINK_AND_QUBIT,
+                         defect_rate=0.01, samples=60, target_distance=5)
+        assert YieldTask.from_estimator(est, 60) == hand
+        routed = est.run(60, engine=Engine(EngineConfig(max_workers=2)))
+        ref = Engine(EngineConfig(backend="serial")).run_yield(hand, seed=11)
+        assert yield_tuple(routed) == yield_tuple(ref)
 
     def test_boundary_standard_and_defect_free_are_representable(self):
         engine = Engine(EngineConfig())
-        est = yield_estimator(boundary=STANDARD_3.with_target(5))
+        std = STANDARD_3.with_target(5)
+        est = yield_estimator(boundary=std)
         task = YieldTask.from_estimator(est, 40)
-        assert task is not None
         assert task.boundary == ("standard-3", False, True, 5)
+        assert task.boundary_standard() == std
+        assert task.criterion() == est.criterion
+        hand = YieldTask(chiplet_size=7, defect_model_kind=LINK_AND_QUBIT,
+                         defect_rate=0.01, samples=40, target_distance=5,
+                         boundary=("standard-3", False, True, 5))
+        assert task == hand
         got = est.run(40, engine=engine)
-        ref = yield_estimator(boundary=STANDARD_3.with_target(5))._run_engine(
-            40, engine)
+        ref = Engine(EngineConfig(backend="serial")).run_yield(hand, seed=11)
         assert yield_tuple(got) == yield_tuple(ref)
 
         free = yield_estimator(criterion=DefectFreeCriterion())
-        assert YieldTask.from_estimator(free, 40).criterion_kind == "defect_free"
+        free_task = YieldTask.from_estimator(free, 40)
+        assert free_task.criterion_kind == "defect_free"
+        assert free_task.criterion() == DefectFreeCriterion()
 
-    def test_custom_criterion_falls_back_uncached(self, tmp_path):
-        class Always(PostSelectionCriterion):
-            def accepts(self, metrics):
-                return True
+    @pytest.mark.parametrize("role, make", [
+        ("criterion", lambda: yield_estimator(criterion=AlwaysAccept())),
+        ("defect model", lambda: YieldEstimator(
+            7, CorrelatedDefects(LINK_AND_QUBIT, 0.01), DistanceCriterion(5),
+            seed=3)),
+        ("boundary standard", lambda: yield_estimator(
+            boundary=LenientStandard("lenient", False, False, 5))),
+    ], ids=["criterion", "defect model", "boundary standard"])
+    def test_unrepresentable_types_raise_named_type_error(self, role, make):
+        est = make()
+        odd = {"criterion": est.criterion, "defect model": est.defect_model,
+               "boundary standard": est.boundary_standard}[role]
+        match = f"{role} of type '{type(odd).__qualname__}'"
+        with pytest.raises(TypeError, match=match):
+            YieldTask.from_estimator(est, 20)
+        with pytest.raises(TypeError, match=match):
+            est.run(20, engine=Engine(EngineConfig(backend="serial")))
 
-        engine = Engine(EngineConfig(cache_dir=str(tmp_path)))
-        est = yield_estimator(criterion=Always())
-        assert YieldTask.from_estimator(est, 30) is None
-        result = est.run(30, engine=engine)
-        assert result.accepted == 30
-        assert len(ResultCache(tmp_path)) == 0  # fallback never caches
+    def test_seeded_runs_are_engine_config_invariant(self, tmp_path):
+        """No engine, a process pool and a cached default engine all give
+        the same counts, at the estimator and at a figure entry point."""
+        def runs():
+            est = yield_estimator()
+            fig = figure12_yield(target_distance=5, chiplet_sizes=(5, 7),
+                                 defect_rates=(0.01, 0.02), samples=30,
+                                 seed=4)
+            return (yield_tuple(est.run(40)), yield_tuple(est.run(40)),
+                    [p.yield_fraction for p in fig["super-stabilizer"]])
 
-    def test_custom_criterion_engine_runs_are_idempotent(self, tmp_path):
-        """Unrepresentable specs use the stateless block fan-out: repeated
-        run() calls on one estimator return identical counts (the legacy
-        no-engine loop, by contrast, advances the estimator's mutable rng)."""
-        class OddDistance(PostSelectionCriterion):
-            def accepts(self, metrics):
-                return metrics.distance % 2 == 1
-
-        engine = Engine(EngineConfig(max_workers=1, cache_dir=str(tmp_path)))
-        est = yield_estimator(criterion=OddDistance())
-        first = est.run(40, engine=engine)
-        second = est.run(40, engine=engine)
-        assert yield_tuple(first) == yield_tuple(second)
-
-    def test_defect_model_subclass_is_not_representable(self):
-        class Correlated(DefectModel):
-            pass
-
-        est = YieldEstimator(7, Correlated(LINK_AND_QUBIT, 0.01),
-                             DistanceCriterion(5), seed=3)
-        assert YieldTask.from_estimator(est, 20) is None
-        # The fallback still runs it (deterministically) on the engine
-        # (serial here: a test-local class cannot pickle to pool workers).
-        got = est.run(20, engine=Engine(EngineConfig()))
-        ref = YieldEstimator(7, Correlated(LINK_AND_QUBIT, 0.01),
-                             DistanceCriterion(5), seed=3)._run_engine(
-            20, Engine(EngineConfig()))
-        assert yield_tuple(got) == yield_tuple(ref)
+        pool = Engine(EngineConfig(max_workers=2))
+        previous = default_engine()
+        try:
+            set_default_engine(Engine(EngineConfig(backend="serial")))
+            plain = runs()
+            set_default_engine(pool)
+            pooled = runs()
+            set_default_engine(Engine(EngineConfig(cache_dir=str(tmp_path))))
+            cold, warm = runs(), runs()
+        finally:
+            set_default_engine(previous)
+        assert plain[0] == plain[1]  # repeated runs do not advance a stream
+        assert plain == pooled == cold == warm
+        assert yield_tuple(yield_estimator().run(40, engine=pool)) == plain[0]
+        assert len(ResultCache(tmp_path)) == 5  # 1 estimator + 4 figure cells
 
     def test_cache_cold_then_warm(self, tmp_path):
         engine = Engine(EngineConfig(cache_dir=str(tmp_path)))
