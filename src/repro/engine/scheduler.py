@@ -145,40 +145,17 @@ class ShotPolicy:
             "growth": self.growth,
         }
 
-    def estimated_cost(self, shard_size: int = DEFAULT_SHARD_SIZE,
-                       expected_rate: float = 0.0,
-                       rng_mode: str = "exact") -> int:
-        """Expected execution cost in exact-shot equivalents (ranking metric).
+    def estimated_cost(self, *, rng_mode: str = "exact") -> int:
+        """Worst-case execution cost in exact-shot equivalents (ranking).
 
-        Drives a real :class:`ShotScheduler` through its wave plan, crediting
-        each wave with the failures a task of logical error rate
-        ``expected_rate`` would be expected to produce (cumulative count
-        rounded down, so the estimate is a deterministic integer), and
-        prices the shots spent when the plan stops.  With the conservative
-        default ``expected_rate=0.0`` no early-stop target is ever met, so
-        the estimate is the policy's worst case — exactly ``max_shots`` for
-        exact mode — while a positive rate prices in adaptive early
-        stopping.  ``rng_mode`` weights the result by the sampler mode's
-        relative per-shot cost (:func:`rng_mode_shot_cost`): a bitgen task
-        prices at ~1/3 of an exact task with the same plan, so the service
-        priority scheduler and the fusion grouping budget rank it where its
-        wall-clock actually lands.  The exact-mode number is what the actual
-        scheduler would spend on a task whose merged waves produced those
-        failure counts, which is what the unit tests pin it against.
+        No early-stop target can be known to fire before any shot runs,
+        so a task is priced at its full ``max_shots`` budget, weighted by
+        the sampler mode's relative per-shot cost
+        (:func:`rng_mode_shot_cost`): a bitgen task prices at ~1/3 of an
+        exact task with the same policy, so the service priority scheduler
+        ranks it where its wall-clock actually lands.
         """
-        if expected_rate < 0.0:
-            raise ValueError("expected_rate must be non-negative")
-        sched = ShotScheduler(self, shard_size)
-        credited = 0
-        while True:
-            wave = sched.next_wave()
-            if not wave:
-                return rng_mode_shot_cost(rng_mode, sched.shots_done)
-            wave_shots = sum(n for _, n in wave)
-            expected = int(expected_rate * (sched.shots_done + wave_shots))
-            failures = min(max(expected - credited, 0), wave_shots)
-            credited += failures
-            sched.record(failures, wave_shots)
+        return rng_mode_shot_cost(rng_mode, self.max_shots)
 
 
 class ShotScheduler:

@@ -11,7 +11,7 @@ is the subsystem that turns it into a long-running, multi-user service:
   engine's frozen task specs plus shot policy, seed fingerprint and shard
   size — everything that determines a run's bytes;
 * :mod:`~repro.service.scheduler` — a priority scheduler ranking runnable
-  jobs by estimated cost (:meth:`ShotPolicy.estimated_cost` wave math),
+  jobs by estimated cost (:meth:`ShotPolicy.estimated_cost` shot budget),
   cache-hit probability (probing the content-addressed
   :class:`~repro.engine.cache.ResultCache`), and submission-age
   anti-starvation;

@@ -3,7 +3,7 @@
 Ranking combines three signals, in the spirit of the priority/aging
 queue-to-scheduler stage the roadmap points at:
 
-* **Estimated cost** — expected shots from the shot policy's own wave math
+* **Estimated cost** — the shot policy's budget, weighted by sampler mode
   (:meth:`ShotPolicy.estimated_cost`), yield samples in shot-equivalents.
   Cheaper jobs first (shortest-job-first keeps median latency low under
   multi-user load).
@@ -44,12 +44,10 @@ class SchedulerConfig:
     """Ranking knobs (see module docstring; results are never affected).
 
     ``aging_rate`` is the per-second discount on effective cost (default
-    from ``REPRO_SERVICE_AGING``); ``expected_rate`` is the logical error
-    rate assumed when pricing adaptive policies (0 = worst-case budget).
+    from ``REPRO_SERVICE_AGING``).
     """
 
     aging_rate: float = 0.05
-    expected_rate: float = 0.0
 
     @classmethod
     def from_env(cls, env=None) -> "SchedulerConfig":
@@ -77,7 +75,7 @@ class JobScheduler:
 
     def score(self, job: Job, now: float) -> float:
         """Effective cost of a job right now — lower runs sooner."""
-        cost = spec_estimated_cost(job.spec, self.config.expected_rate)
+        cost = spec_estimated_cost(job.spec)
         cost = max(cost * (1.0 - self.cache_hit_fraction(job)), _MIN_COST)
         age = max(now - job.submitted_at, 0.0)
         return cost / (1.0 + self.config.aging_rate * age)

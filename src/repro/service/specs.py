@@ -249,13 +249,13 @@ def spec_cache_keys(spec: dict) -> List[Optional[str]]:
             for item in sweep_items(spec)]
 
 
-def spec_estimated_cost(spec: dict, expected_rate: float = 0.0) -> float:
+def spec_estimated_cost(spec: dict) -> float:
     """Estimated execution cost in shot-equivalents (scheduler ranking).
 
-    LER jobs price each item with the policy's wave math
+    LER jobs price each item at its policy's shot budget
     (:meth:`ShotPolicy.estimated_cost`), weighted by the item's
     ``rng_mode`` so a bitgen task prices at ~1/3 of an exact one with
-    the same plan; yield jobs price samples at :data:`YIELD_SAMPLE_COST`
+    the same policy; yield jobs price samples at :data:`YIELD_SAMPLE_COST`
     shot-equivalents each.  Purely a ranking heuristic — it never
     touches results.
     """
@@ -263,19 +263,11 @@ def spec_estimated_cost(spec: dict, expected_rate: float = 0.0) -> float:
         task, _ = yield_job(spec)
         return float(task.samples) * YIELD_SAMPLE_COST
     policy = policy_from_payload(spec["policy"])
-    shard_size = spec["shard_size"]
     if spec["kind"] == "ler":
         payloads = [spec["task"]]
     else:
         payloads = spec["tasks"]
-    # Task payloads omit rng_mode when it is the "exact" default; cost a
-    # sweep's items per distinct mode (one wave-plan walk per mode).
-    cost_of: dict = {}
-    total = 0
-    for payload in payloads:
-        mode = str(payload.get("rng_mode", "exact"))
-        if mode not in cost_of:
-            cost_of[mode] = policy.estimated_cost(
-                shard_size, expected_rate, rng_mode=mode)
-        total += cost_of[mode]
-    return float(total)
+    # Task payloads omit rng_mode when it is the "exact" default.
+    return float(sum(
+        policy.estimated_cost(rng_mode=str(payload.get("rng_mode", "exact")))
+        for payload in payloads))

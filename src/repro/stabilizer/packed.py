@@ -51,13 +51,13 @@ few) whole-array numpy kernels instead of a per-target Python loop:
   per-target sequential draw order exactly — into a reused scratch buffer,
   and turn them into packed flip rows by whole-matrix packing
   (:func:`~repro.stabilizer.bitpack.pack_rows`);
-* the depolarizing channels additionally pick a *sparse* strategy below
-  ``_SPARSE_P_MAX``: the packed hit mask is scanned at word granularity
-  (64 lanes per compare), only the few hit words are expanded to lane
-  indices, and the per-lane Pauli choice is computed on those lanes alone
-  before XOR-scattering single bits into the frame — at p = 1e-3 fewer
-  than 0.1% of lanes flip, so full-lane Pauli arithmetic is almost all
-  wasted memory traffic;
+* the depolarizing channels flip through *hit lanes*: the packed hit mask
+  is scanned at word granularity (64 lanes per compare), only the few hit
+  words are expanded to lane indices, and :func:`_flip_lanes` computes the
+  per-lane Pauli choice on those lanes alone before XOR-scattering single
+  bits into the frame — at p = 1e-3 fewer than 0.1% of lanes flip, so
+  full-lane Pauli arithmetic would be almost all wasted memory traffic
+  (X/Y/Z_ERROR need no Pauli choice and XOR whole packed hit rows);
 * draws are *row-blocked* (``_BLOCK_BYTES``): an op covering many targets
   draws consecutive row blocks instead of one giant matrix, which keeps
   the float64 scratch inside the cache sweet spot without touching draw
@@ -98,9 +98,8 @@ draws noise at the *bit level* instead:
 * a **residual-correction pass** makes any ``p`` exact: every coarse
   candidate lane draws one double ``u`` from a separate thinning stream and
   survives iff ``u * p_hi < p`` (so ``P = p_hi * p/p_hi = p`` exactly); the
-  surviving draw ``u * p_hi`` is uniform on ``[0, p)`` and picks the Pauli
-  for the depolarizing channels with the same arithmetic as the exact
-  sparse path;
+  surviving draw ``u * p_hi`` is uniform on ``[0, p)`` and goes through
+  the same :func:`_flip_lanes` kernel as the exact-mode hit lanes;
 * measurement randomisation is ``p = 1/2`` exactly — one raw word per 64
   lanes, no correction pass;
 * the word stream and the thinning stream are two child streams of the
@@ -269,12 +268,6 @@ _FUSABLE = frozenset({
 # won in dispatch.
 _BLOCK_BYTES = 8 << 20
 
-# Depolarizing channels whose probabilities never exceed this use the
-# sparse flip strategy (hit words -> lane indices -> per-lane Pauli choice
-# -> per-bit XOR scatter); denser channels compute the Pauli choice on
-# every lane and pack whole rows.  Both strategies are bit-exact.
-_SPARSE_P_MAX = 0.02
-
 
 def _row_blocks(rows: int, shots: int):
     """Split ``rows`` draw rows into blocks of bounded float64 footprint."""
@@ -343,15 +336,9 @@ _BITGEN_K = 12
 _BITGEN_CHANNELS = frozenset({"xerr", "zerr", "yerr", "dep1", "dep2"})
 
 
-def _raw_words(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniform ``uint64`` words straight off the bit generator."""
-    bg = rng.bit_generator
-    if hasattr(bg, "random_raw"):
-        return bg.random_raw(n)
-    # Exotic bit generators without random_raw (never numpy's defaults):
-    # full-range integers draw one word per call just the same.
-    return rng.integers(0, np.iinfo(np.uint64).max, size=n,
-                        dtype=np.uint64, endpoint=True)
+def _channel_probs(kind: str, data: tuple) -> np.ndarray:
+    """Per-draw-row probabilities of a noise-channel op's compiled data."""
+    return data[2] if kind == "dep2" else data[1]
 
 
 def _compile_bitgen_channel(pflat: np.ndarray) -> tuple:
@@ -389,8 +376,7 @@ def _compile_bitgen_aux(ops: List[Tuple[str, int, tuple]]) -> dict:
     aux = {}
     for idx, (kind, _first, data) in enumerate(ops):
         if kind in _BITGEN_CHANNELS:
-            pflat = data[2] if kind == "dep2" else data[1]
-            aux[idx] = _compile_bitgen_channel(pflat)
+            aux[idx] = _compile_bitgen_channel(_channel_probs(kind, data))
     return aux
 
 
@@ -406,7 +392,7 @@ def _tail_mask(shots: int) -> np.uint64:
     return np.uint64((1 << rem) - 1) if rem else np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _bitgen_mask(wrng: np.random.Generator, aux: tuple, i0: int, i1: int,
+def _bitgen_mask(words: np.random.SFC64, aux: tuple, i0: int, i1: int,
                  nw: int, tail: np.uint64) -> np.ndarray:
     """Packed coarse Bernoulli(p_hi) mask for draw rows ``[i0, i1)``.
 
@@ -418,7 +404,7 @@ def _bitgen_mask(wrng: np.random.Generator, aux: tuple, i0: int, i1: int,
     """
     mbits, full, _p_hi, ubits = aux
     rows = i1 - i0
-    raw = _raw_words(wrng, rows * _BITGEN_K * nw).reshape(rows, _BITGEN_K, nw)
+    raw = words.random_raw(rows * _BITGEN_K * nw).reshape(rows, _BITGEN_K, nw)
     if ubits is not None and True in ubits:
         # Uniform-m fast path: one bit pattern for every row, so each fold
         # layer is a whole-array in-place op.  Layers below the lowest set
@@ -576,10 +562,10 @@ def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int,
                                   for _ in inst.targets], dtype=np.float64)
                 kind = {"X_ERROR": "xerr", "Z_ERROR": "zerr",
                         "Y_ERROR": "yerr", "DEPOLARIZE1": "dep1"}[key]
-                data = (tgt, pflat, _has_dup(tgt))
-                if kind == "dep1":
-                    data += (float(pflat.max()) <= _SPARSE_P_MAX,)
-                ops.append((kind, i, data))
+                # Depolarizing flips scatter per bit, so only the packed-row
+                # XORs of the Bernoulli channels need the duplicate flag.
+                ops.append((kind, i, (tgt, pflat) if kind == "dep1"
+                            else (tgt, pflat, _has_dup(tgt))))
             else:
                 ops.append(("nop", i, ()))
         elif key == "DEPOLARIZE2":
@@ -589,9 +575,7 @@ def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int,
                 b_arr = _idx([b for _, b in pairs])
                 pflat = np.array([inst.arg for inst in group
                                   for _ in inst.target_pairs()], dtype=np.float64)
-                ops.append(("dep2", i, (a_arr, b_arr, pflat,
-                                        _has_dup(a_arr), _has_dup(b_arr),
-                                        float(pflat.max()) <= _SPARSE_P_MAX)))
+                ops.append(("dep2", i, (a_arr, b_arr, pflat)))
             else:
                 ops.append(("nop", i, ()))
         elif key == "DETECTOR":
@@ -635,7 +619,7 @@ def _xor_scatter(dest: np.ndarray, idx: np.ndarray, rows: np.ndarray,
 def _scatter_bits(dest: np.ndarray, qubits: np.ndarray, cols: np.ndarray) -> None:
     """Flip shot-bit ``cols[j]`` of packed row ``qubits[j]`` for every ``j``.
 
-    The sparse-strategy scatter: unbuffered per-lane XOR, so repeated
+    The hit-lane scatter: unbuffered per-lane XOR, so repeated
     (qubit, shot) flips cancel exactly like sequential mask XORs.
     """
     words = cols >> 6
@@ -657,6 +641,48 @@ def _hit_lanes(hit_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                          axis=1, bitorder="little")
     sel, bitpos = np.nonzero(bits)
     return wr[sel], wc[sel] * WORD_BITS + bitpos
+
+
+def _flip_lanes(kind: str, data: tuple, i0: int, rows: np.ndarray,
+                cols: np.ndarray, w: np.ndarray, pv: np.ndarray,
+                x: np.ndarray, z: np.ndarray) -> None:
+    """XOR the Pauli flips of a noise op's hit lanes into the frame.
+
+    Lane ``j`` is shot ``cols[j]`` of draw row ``i0 + rows[j]``; ``w[j]`` is
+    its variate, uniform on ``[0, pv[j])`` where ``pv[j]`` is the row's
+    probability.  The one flip kernel of both RNG modes: exact mode passes
+    the hit float draws, bitgen the surviving thinning draws.
+    """
+    if kind == "dep2":
+        a, b = data[0], data[1]
+        # Uniform over the 15 non-identity two-qubit Paulis, encoded base 4
+        # as (pa, pb) with 0=I,1=X,2=Y,3=Z.  The minimum mirrors the
+        # reference's np.clip(k, -1, 14): a draw within 1 ulp below p can
+        # round w/(p/15) to exactly 15.0.
+        code = np.minimum((w / (pv / 15)).astype(np.int8), np.int8(14)) + 1
+        pa = code // 4
+        pb = code % 4
+        for dest, q, sel in (
+            (x, a, (pa == 1) | (pa == 2)),
+            (z, a, (pa == 2) | (pa == 3)),
+            (x, b, (pb == 1) | (pb == 2)),
+            (z, b, (pb == 2) | (pb == 3)),
+        ):
+            _scatter_bits(dest, q[i0 + rows[sel]], cols[sel])
+        return
+    tgt = data[0]
+    if kind == "dep1":
+        # Equal chance p/3 for each of X, Y, Z: X below p/3, Y below 2p/3.
+        xf = w < 2 * pv / 3  # X or Y
+        zf = w >= pv / 3     # Y or Z, since w < pv
+        _scatter_bits(x, tgt[i0 + rows[xf]], cols[xf])
+        _scatter_bits(z, tgt[i0 + rows[zf]], cols[zf])
+        return
+    q = tgt[i0 + rows]  # X/Z/Y_ERROR: every lane flips
+    if kind != "zerr":
+        _scatter_bits(x, q, cols)
+    if kind != "xerr":
+        _scatter_bits(z, q, cols)
 
 
 class PackedFrameSimulator:
@@ -682,7 +708,7 @@ class PackedFrameSimulator:
         # and the per-channel coarse-mask data in bitgen mode — a second
         # compiled-program flavour sharing the same op stream.
         self._programs: dict = {}
-        self._wrng: Optional[np.random.Generator] = None
+        self._words: Optional[np.random.SFC64] = None
         self._trng: Optional[np.random.Generator] = None
         self.reseed(seed)
 
@@ -718,9 +744,9 @@ class PackedFrameSimulator:
             root = (seed if isinstance(seed, np.random.SeedSequence)
                     else np.random.SeedSequence(seed))
             key = tuple(root.spawn_key)
-            self._wrng = np.random.Generator(np.random.SFC64(
+            self._words = np.random.SFC64(
                 np.random.SeedSequence(entropy=root.entropy,
-                                       spawn_key=key + (0,))))
+                                       spawn_key=key + (0,)))
             self._trng = np.random.Generator(np.random.SFC64(
                 np.random.SeedSequence(entropy=root.entropy,
                                        spawn_key=key + (1,))))
@@ -771,14 +797,14 @@ class PackedFrameSimulator:
             else:
                 rbuf, hbuf = scratch.view(buf_rows, shots)
         if bitgen:
-            wrng, trng = self._wrng, self._trng
+            words, trng = self._words, self._trng
             tail = _tail_mask(shots)
 
         insts = circuit.instructions
         for op_index, (kind, first, data) in enumerate(ops):
             if bitgen and kind in _BITGEN_CHANNELS:
                 self._run_bitgen_channel(kind, data, bg_aux[op_index],
-                                         wrng, trng, x, z, nw, tail, shots)
+                                         words, trng, x, z, nw, tail, shots)
             elif bitgen and kind in ("m", "mx"):
                 tgt, m0, dup = data
                 frame, other = (x, z) if kind == "m" else (z, x)
@@ -786,77 +812,18 @@ class PackedFrameSimulator:
                 # Measurement randomisation is Bernoulli(1/2) exactly: one
                 # fresh word per 64 lanes, no correction pass needed.
                 for i0, i1 in _row_blocks(tgt.size, shots):
-                    raw = _raw_words(wrng, (i1 - i0) * nw).reshape(i1 - i0, nw)
+                    raw = words.random_raw((i1 - i0) * nw).reshape(i1 - i0, nw)
                     raw[:, -1] &= tail
                     _xor_scatter(other, tgt[i0:i1], raw, dup)
-            elif kind == "dep2":
-                a, b, pflat, dup_a, dup_b, sparse = data
-                for i0, i1 in _row_blocks(a.size, shots):
+            elif kind in ("dep1", "dep2"):
+                pflat = _channel_probs(kind, data)
+                for i0, i1 in _row_blocks(pflat.size, shots):
                     r = rbuf[:i1 - i0]
                     rng.random(out=r)
                     hit = np.less(r, pflat[i0:i1, None], out=hbuf[:i1 - i0])
-                    # Uniform over the 15 non-identity two-qubit Paulis,
-                    # encoded base 4 as (pa, pb) with 0=I,1=X,2=Y,3=Z; hit
-                    # lanes reproduce the per-pair scalar arithmetic exactly.
-                    if sparse:
-                        rows_i, cols_i = _hit_lanes(pack_rows(hit))
-                        # The minimum mirrors the reference's np.clip(k, -1,
-                        # 14): a draw within 1 ulp below p can round
-                        # r/(p/15) to exactly 15.0.
-                        code = np.minimum(
-                            (r[rows_i, cols_i]
-                             / (pflat[i0 + rows_i] / 15)).astype(np.int8),
-                            np.int8(14)) + 1
-                        pa = code // 4
-                        pb = code % 4
-                        for dest, q, sel in (
-                            (x, a, (pa == 1) | (pa == 2)),
-                            (z, a, (pa == 2) | (pa == 3)),
-                            (x, b, (pb == 1) | (pb == 2)),
-                            (z, b, (pb == 2) | (pb == 3)),
-                        ):
-                            _scatter_bits(dest, q[i0 + rows_i[sel]], cols_i[sel])
-                    else:
-                        pcol = pflat[i0:i1, None]
-                        scaled = np.zeros_like(r)
-                        np.divide(r, pcol / 15, out=scaled, where=hit)
-                        # np.minimum mirrors the reference's np.clip(k, -1,
-                        # 14) on the 1-ulp-below-p rounding edge.
-                        code = np.where(
-                            hit,
-                            np.minimum(scaled.astype(np.int8), np.int8(14)) + 1,
-                            np.int8(0))
-                        pa = code // 4
-                        pb = code % 4
-                        _xor_scatter(x, a[i0:i1], pack_rows((pa == 1) | (pa == 2)), dup_a)
-                        _xor_scatter(z, a[i0:i1], pack_rows((pa == 2) | (pa == 3)), dup_a)
-                        _xor_scatter(x, b[i0:i1], pack_rows((pb == 1) | (pb == 2)), dup_b)
-                        _xor_scatter(z, b[i0:i1], pack_rows((pb == 2) | (pb == 3)), dup_b)
-            elif kind == "dep1":
-                tgt, pflat, dup, sparse = data
-                for i0, i1 in _row_blocks(tgt.size, shots):
-                    r = rbuf[:i1 - i0]
-                    rng.random(out=r)
-                    # Equal chance p/3 for each of X, Y, Z.
-                    if sparse:
-                        hit = np.less(r, pflat[i0:i1, None], out=hbuf[:i1 - i0])
-                        rows_i, cols_i = _hit_lanes(pack_rows(hit))
-                        rv = r[rows_i, cols_i]
-                        pv = pflat[i0 + rows_i]
-                        is_x = rv < pv / 3
-                        is_y = (rv >= pv / 3) & (rv < 2 * pv / 3)
-                        is_z = rv >= 2 * pv / 3  # rv < pv holds by selection
-                        xf = is_x | is_y
-                        zf = is_z | is_y
-                        _scatter_bits(x, tgt[i0 + rows_i[xf]], cols_i[xf])
-                        _scatter_bits(z, tgt[i0 + rows_i[zf]], cols_i[zf])
-                    else:
-                        pcol = pflat[i0:i1, None]
-                        is_x = r < pcol / 3
-                        is_y = (r >= pcol / 3) & (r < 2 * pcol / 3)
-                        is_z = (r >= 2 * pcol / 3) & (r < pcol)
-                        _xor_scatter(x, tgt[i0:i1], pack_rows(is_x | is_y), dup)
-                        _xor_scatter(z, tgt[i0:i1], pack_rows(is_z | is_y), dup)
+                    rows_i, cols_i = _hit_lanes(pack_rows(hit))
+                    _flip_lanes(kind, data, i0, rows_i, cols_i,
+                                r[rows_i, cols_i], pflat[i0 + rows_i], x, z)
             elif kind in ("xerr", "zerr", "yerr"):
                 # Packed-row XOR is cheap at any density, so Bernoulli
                 # channels always take the dense compare->pack->XOR path.
@@ -934,7 +901,7 @@ class PackedFrameSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _run_bitgen_channel(kind: str, data: tuple, aux: tuple,
-                            wrng: np.random.Generator,
+                            words: np.random.SFC64,
                             trng: np.random.Generator,
                             x: np.ndarray, z: np.ndarray,
                             nw: int, tail: np.uint64, shots: int) -> None:
@@ -942,21 +909,16 @@ class PackedFrameSimulator:
 
         Coarse packed Bernoulli(p_hi) mask -> candidate lanes -> one
         thinning double per candidate (``u * p_hi < p`` keeps the lane, and
-        the kept ``u * p_hi`` is uniform on ``[0, p)``, reusing the exact
-        sparse path's Pauli-choice arithmetic).  Candidates enumerate in
-        row-major C order and blocks partition rows contiguously, so the
-        thinning stream — like the word stream — is consumed identically
-        for any block split and for stepwise (trace) programs.
+        the kept ``u * p_hi`` is uniform on ``[0, p)``) -> :func:`_flip_lanes`
+        on the kept lanes.  Candidates enumerate in row-major C order and
+        blocks partition rows contiguously, so the thinning stream — like
+        the word stream — is consumed identically for any block split and
+        for stepwise (trace) programs.
         """
-        if kind == "dep2":
-            a, b, pflat, _dup_a, _dup_b, _sparse = data
-            rows = a.size
-        else:
-            tgt, pflat = data[0], data[1]
-            rows = tgt.size
+        pflat = _channel_probs(kind, data)
         p_hi = aux[2]
-        for i0, i1 in _row_blocks(rows, shots):
-            coarse = _bitgen_mask(wrng, aux, i0, i1, nw, tail)
+        for i0, i1 in _row_blocks(pflat.size, shots):
+            coarse = _bitgen_mask(words, aux, i0, i1, nw, tail)
             rows_i, cols_i = _hit_lanes(coarse)
             if not rows_i.size:
                 continue
@@ -964,40 +926,8 @@ class PackedFrameSimulator:
             pv = pflat[i0 + rows_i]
             w = u * p_hi[i0 + rows_i]
             keep = w < pv
-            rows_k = rows_i[keep]
-            cols_k = cols_i[keep]
-            if not rows_k.size:
-                continue
-            if kind in ("xerr", "zerr", "yerr"):
-                if kind != "zerr":
-                    _scatter_bits(x, tgt[i0 + rows_k], cols_k)
-                if kind != "xerr":
-                    _scatter_bits(z, tgt[i0 + rows_k], cols_k)
-                continue
-            w = w[keep]
-            pv = pv[keep]
-            if kind == "dep1":
-                # Equal chance p/3 for each of X, Y, Z (w ~ U[0, p)).
-                is_x = w < pv / 3
-                is_y = (w >= pv / 3) & (w < 2 * pv / 3)
-                xf = is_x | is_y
-                zf = ~is_x  # is_z | is_y, since w < pv by construction
-                _scatter_bits(x, tgt[i0 + rows_k[xf]], cols_k[xf])
-                _scatter_bits(z, tgt[i0 + rows_k[zf]], cols_k[zf])
-            else:  # dep2
-                # Uniform over the 15 non-identity two-qubit Paulis; the
-                # minimum mirrors the exact path's 1-ulp rounding guard.
-                code = np.minimum((w / (pv / 15)).astype(np.int8),
-                                  np.int8(14)) + 1
-                pa = code // 4
-                pb = code % 4
-                for dest, q, sel in (
-                    (x, a, (pa == 1) | (pa == 2)),
-                    (z, a, (pa == 2) | (pa == 3)),
-                    (x, b, (pb == 1) | (pb == 2)),
-                    (z, b, (pb == 2) | (pb == 3)),
-                ):
-                    _scatter_bits(dest, q[i0 + rows_k[sel]], cols_k[sel])
+            _flip_lanes(kind, data, i0, rows_i[keep], cols_i[keep],
+                        w[keep], pv[keep], x, z)
 
 
 # ----------------------------------------------------------------------

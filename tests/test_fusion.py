@@ -425,12 +425,12 @@ class TestFusionConfig:
 
     def test_estimated_cost_rng_mode_aware(self):
         fixed = ShotPolicy.fixed(9000)
-        assert fixed.estimated_cost(512) == 9000  # exact default unchanged
-        assert fixed.estimated_cost(512, rng_mode="bitgen") == 3000
+        assert fixed.estimated_cost() == 9000  # exact default unchanged
+        assert fixed.estimated_cost(rng_mode="bitgen") == 3000
         adaptive = ShotPolicy.adaptive(8192, min_shots=512,
                                        target_failures=50)
-        exact = adaptive.estimated_cost(512, 0.05)
-        assert adaptive.estimated_cost(512, 0.05, rng_mode="bitgen") \
+        exact = adaptive.estimated_cost()
+        assert adaptive.estimated_cost(rng_mode="bitgen") \
             == rng_mode_shot_cost("bitgen", exact)
 
     def test_spec_estimated_cost_prices_bitgen_items(self):

@@ -7,10 +7,12 @@ bit-identical across sampler changes.  The ``trace`` hooks on both expose
 the frame after each instruction.
 
 The suite pins the simulator against that loop for every instruction
-family, on both flip-mask strategies (sparse below ``_SPARSE_P_MAX``, dense
-above), on the fused no-trace path and the stepwise trace path, at shot
-counts straddling the 64-bit word boundary, and on circuits with duplicate
-targets and chained two-qubit pairs (the fancy-indexing hazard cases).
+family, at noise rates from 0.004 to 0.3 and on a memory circuit whose
+fused noise ops mix one bad qubit's rate into standard-rate rows (the
+paper's cutoff-study shape), on the fused no-trace path and the stepwise
+trace path, at shot counts straddling the 64-bit word boundary, and on
+circuits with duplicate targets and chained two-qubit pairs (the
+fancy-indexing hazard cases).
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from repro.stabilizer.bitpack import (
     popcount,
     unpack_bits,
 )
-from repro.stabilizer.packed import _SPARSE_P_MAX
+from repro.stabilizer.packed import _channel_probs, _compile_program
 from repro.stabilizer.reference import reference_packed_sample
 
 
@@ -56,15 +58,20 @@ def _noisy_circuit(p=0.1) -> Circuit:
     return c
 
 
-def _memory_circuit(distance=3, p=0.005):
+def _memory_circuit(distance=3, p=0.005, bad_p=None):
+    """Defect-free memory circuit; ``bad_p`` raises the centre data qubit."""
     from repro.core.adaptation import adapt_patch
+    from repro.experiments.cutoff import center_data_qubit
     from repro.noise.circuit_noise import CircuitNoiseModel
     from repro.noise.fabrication import DefectSet
     from repro.surface_code.circuits import build_memory_circuit
     from repro.surface_code.layout import RotatedSurfaceCodeLayout
 
     patch = adapt_patch(RotatedSurfaceCodeLayout(distance), DefectSet.of())
-    return build_memory_circuit(patch, CircuitNoiseModel.standard(p), distance)
+    noise = CircuitNoiseModel.standard(p)
+    if bad_p is not None:
+        noise = noise.with_bad_qubit(center_data_qubit(distance), bad_p)
+    return build_memory_circuit(patch, noise, distance)
 
 
 class TestBitpack:
@@ -266,11 +273,11 @@ def _duplicate_target_circuit(p=0.2) -> Circuit:
 
 class TestVectorisedAgainstFrozenReference:
     """The vectorised dispatch must be bit-identical to the frozen
-    per-target loop for every instruction family, on both flip-mask
-    strategies and both execution paths (fused and stepwise)."""
+    per-target loop for every instruction family, at low and high noise,
+    on both execution paths (fused and stepwise)."""
 
-    # p values on both sides of the sparse/dense strategy threshold.
-    PS = [0.004, _SPARSE_P_MAX, 0.05, 0.3]
+    # Low (most lanes idle) to high (most lanes hit) noise rates.
+    PS = [0.004, 0.02, 0.05, 0.3]
 
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("shots", [1, 63, 64, 65, 130])
@@ -308,14 +315,33 @@ class TestVectorisedAgainstFrozenReference:
         assert np.array_equal(got.detectors_packed, want.detectors_packed)
         assert np.array_equal(got.observables_packed, want.observables_packed)
 
-    def test_memory_circuit_agreement(self):
-        circuit = _memory_circuit()
+    @pytest.mark.parametrize("p, bad_p", [(0.005, None), (0.004, 0.1)],
+                             ids=["standard", "bad_qubit"])
+    def test_memory_circuit_agreement(self, p, bad_p):
+        # The bad-qubit input is the cutoff study's keep-cell shape: one
+        # 0.1-rate row inside fused noise ops of standard-rate rows.
+        circuit = _memory_circuit(p=p, bad_p=bad_p)
+        if bad_p is not None:
+            ops, _ = _compile_program(circuit, fuse=True)
+            rates = [_channel_probs(kind, data) for kind, _, data in ops
+                     if kind in ("dep1", "dep2")]
+            assert any(r.min() < r.max() == bad_p for r in rates)
         for shots in (1, 64, 257):
             want = reference_packed_sample(circuit, shots, seed=7)
             got = PackedFrameSimulator(circuit, seed=7).sample(shots)
             assert np.array_equal(got.detectors_packed, want.detectors_packed)
             assert np.array_equal(got.observables_packed,
                                   want.observables_packed)
+        got, want = [], []
+        PackedFrameSimulator(circuit, seed=7).sample(
+            70, trace=lambda i, inst, x, z, m: got.append((x, z, m)))
+        reference_packed_sample(
+            circuit, 70, seed=7,
+            trace=lambda i, inst, x, z, m: want.append((x, z, m)))
+        assert len(got) == len(want) == len(circuit)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w)), \
+                f"frame diverged after instruction {i}"
 
     def test_memory_circuit_matches_reference_at_low_p(self):
         circuit = _memory_circuit(p=0.001)
@@ -377,7 +403,7 @@ class TestDepolarize2ClipEdge:
 
     P_EDGE = 0.015060604154043557
 
-    @pytest.mark.parametrize("scale", [1, 2])  # sparse (p <= 0.02) and dense
+    @pytest.mark.parametrize("scale", [1, 2])  # edge p below and above 0.02
     def test_edge_draw_applies_zz(self, scale):
         p = self.P_EDGE * scale
         r = float(np.nextafter(p, 0))

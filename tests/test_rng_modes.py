@@ -8,6 +8,8 @@ deterministic stream, not a reordering of the exact one, so the suite pins:
   stepwise (trace) and row-block-split execution shapes — stronger than
   exact mode, whose guarantee is only fused == stepwise;
 * ghost-lane hygiene (whole-word draws never leak beyond ``shots``);
+* the fixed-seed output words of a d = 3 memory circuit, with and without
+  a bad qubit (bitgen has no reference loop, so a digest stands in);
 * coarse-mask probability and end-to-end channel frequencies against
   analytic values, plus Wilson-CI agreement with exact mode on a real
   surface-code LER point;
@@ -15,6 +17,8 @@ deterministic stream, not a reordering of the exact one, so the suite pins:
   separation from exact mode, payload round-trips (``"exact"`` payloads
   omit the field, so pre-existing hashes are untouched).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,7 +31,9 @@ from repro.engine.cache import ResultCache
 from repro.engine.executor import ler_cache_key
 from repro.engine.scheduler import ShotPolicy
 from repro.engine.tasks import CutoffCellTask, task_from_payload
+from repro.experiments.cutoff import center_data_qubit
 from repro.noise import DefectSet
+from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.service.specs import normalize_spec
 from repro.stabilizer import Circuit, PackedFrameSimulator
 from repro.stabilizer.bitpack import popcount
@@ -38,6 +44,7 @@ from repro.stabilizer.packed import (
     _tail_mask,
 )
 from repro.surface_code import RotatedSurfaceCodeLayout
+from repro.surface_code.circuits import build_memory_circuit
 
 
 def _noisy_circuit(p=0.01) -> Circuit:
@@ -142,6 +149,25 @@ class TestBitgenSampler:
                 assert not np.any(rows[:, -1] & ~tail)
         # popcount-based consumers therefore see real shots only.
         assert 0.0 <= s.detection_fraction() <= 1.0
+
+    @pytest.mark.parametrize("bad_p, digest", [
+        (None, "cf4d9c0de493b239ebd1ecf8ceceedebb23f248e73b9e33c31d595c7ee57641c"),
+        (0.1, "0bce38d098b20c8ee5ac072d8dd97bf92df682002372549ac4fc2120fd691fb8"),
+    ])
+    def test_fixed_seed_words_pinned(self, bad_p, digest):
+        # Bitgen has no reference loop to agree with, so its output words
+        # are pinned: a kernel refactor that moves any variate, flip or
+        # stream draw changes the digest.  The bad qubit puts a 0.1-rate
+        # row inside fused ops of 0.004-rate rows.
+        noise = CircuitNoiseModel.standard(0.004)
+        if bad_p is not None:
+            noise = noise.with_bad_qubit(center_data_qubit(3), bad_p)
+        patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
+        c = build_memory_circuit(patch, noise, 3)
+        s = PackedFrameSimulator(c, seed=2024, rng_mode="bitgen").sample(1000)
+        got = hashlib.sha256(s.detectors_packed.tobytes()
+                             + s.observables_packed.tobytes()).hexdigest()
+        assert got == digest
 
 
 class TestBitgenStatistics:

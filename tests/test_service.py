@@ -169,7 +169,7 @@ class TestSpecs:
     def test_estimated_cost_counts_shots_and_samples(self):
         spec = normalize_spec(sweep_body(ps=(0.005, 0.01, 0.02),
                                          shots=400, shard_size=128))
-        per_item = ShotPolicy.fixed(400).estimated_cost(128)
+        per_item = ShotPolicy.fixed(400).estimated_cost()
         assert spec_estimated_cost(spec) == 3 * per_item
         yspec = normalize_spec({"kind": "yield",
                                 "task": yield_task(50).payload()})
