@@ -35,6 +35,7 @@ from repro.engine import (
     task_from_payload,
 )
 from repro.engine.rng import from_fingerprint
+from repro.engine.scheduler import rng_mode_shot_cost
 from repro.experiments import run_memory_experiment, sample_defective_patches
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -472,6 +473,20 @@ class TestEstimatedCost:
                                      target_failures=10)
         assert policy.estimated_cost() == self.drive(policy, 512)
         assert policy.estimated_cost() == 10_000
+
+    @pytest.mark.parametrize("rng_mode", ["exact", "bitgen"])
+    def test_random_policies_cost_their_zero_failure_run(self, rng_mode):
+        # Any policy, any shard size: the price is the shots a scheduler
+        # spends when no failure arrives, weighted by the sampler mode.
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            max_shots = int(rng.integers(1, 20_000))
+            policy = ShotPolicy.adaptive(
+                max_shots, min_shots=int(rng.integers(1, max_shots + 1)),
+                target_failures=int(rng.integers(1, 200)))
+            shard = int(rng.integers(1, 5000))
+            assert policy.estimated_cost(rng_mode=rng_mode) \
+                == rng_mode_shot_cost(rng_mode, self.drive(policy, shard))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,11 @@ from repro.stabilizer.bitpack import (
     popcount,
     unpack_bits,
 )
-from repro.stabilizer.packed import _channel_probs, _compile_program
+from repro.stabilizer.packed import (
+    _channel_probs,
+    _compile_program,
+    _flip_lanes,
+)
 from repro.stabilizer.reference import reference_packed_sample
 
 
@@ -418,3 +422,65 @@ class TestDepolarize2ClipEdge:
         sim.rng = _ConstantRng(r)
         got = sim.sample(1)
         assert got.fired_detectors() == [(0, 1)]
+
+
+class TestFlipLanes:
+    """``_flip_lanes`` is the one Pauli-choice kernel of both RNG modes; each
+    variate bin must map to its Pauli, and repeated lanes must cancel."""
+
+    @staticmethod
+    def frame(rows=2, words=1):
+        return (np.zeros((rows, words), dtype=np.uint64),
+                np.zeros((rows, words), dtype=np.uint64))
+
+    @pytest.mark.parametrize("p", [0.003, 0.3])
+    def test_dep1_bins_choose_x_y_z(self, p):
+        # Lanes 0/1/2 sit mid-bin in [0, p/3), [p/3, 2p/3), [2p/3, p).
+        x, z = self.frame(rows=1)
+        tgt = np.array([0])
+        _flip_lanes("dep1", (tgt, np.array([p])), 0, np.zeros(3, np.int64),
+                    np.arange(3), np.array([p / 6, p / 2, 5 * p / 6]),
+                    np.full(3, p), x, z)
+        xb = unpack_bits(x, 3)[0]
+        zb = unpack_bits(z, 3)[0]
+        assert xb.tolist() == [True, True, False]   # X, Y, Z
+        assert zb.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("p", [0.003, 0.3])
+    def test_dep2_bins_choose_all_15_paulis(self, p):
+        # Lane k draws mid-bin k of 15, so it must apply Pauli code k + 1
+        # (base 4, 0=I 1=X 2=Y 3=Z) to the pair (a, b) = (row 0, row 1).
+        x, z = self.frame()
+        k = np.arange(15)
+        _flip_lanes("dep2", (np.array([0]), np.array([1]), np.array([p])), 0,
+                    np.zeros(15, np.int64), k, (k + 0.5) * p / 15,
+                    np.full(15, p), x, z)
+        xb, zb = unpack_bits(x, 15), unpack_bits(z, 15)
+        pa, pb = (k + 1) // 4, (k + 1) % 4
+        assert xb[0].tolist() == ((pa == 1) | (pa == 2)).tolist()
+        assert zb[0].tolist() == ((pa == 2) | (pa == 3)).tolist()
+        assert xb[1].tolist() == ((pb == 1) | (pb == 2)).tolist()
+        assert zb[1].tolist() == ((pb == 2) | (pb == 3)).tolist()
+
+    @pytest.mark.parametrize("kind, want_x, want_z", [
+        ("xerr", True, False), ("yerr", True, True), ("zerr", False, True)])
+    def test_pauli_errors_flip_every_lane(self, kind, want_x, want_z):
+        # Row offset i0 picks the draw row: lanes of row i0 + rows[j].
+        x, z = self.frame()
+        tgt = np.array([1, 0])
+        _flip_lanes(kind, (tgt, np.array([0.2, 0.2])), 1,
+                    np.zeros(2, np.int64), np.array([5, 9]), np.zeros(2),
+                    np.full(2, 0.2), x, z)
+        assert not x[1].any() and not z[1].any()
+        assert bool(unpack_bits(x, 10)[0, 5]) == want_x
+        assert bool(unpack_bits(z, 10)[0, 9]) == want_z
+        assert popcount(x) == 2 * want_x and popcount(z) == 2 * want_z
+
+    def test_repeated_lanes_cancel(self):
+        x, z = self.frame(rows=1)
+        _flip_lanes("yerr", (np.array([0]), np.array([0.1])), 0,
+                    np.zeros(3, np.int64), np.array([4, 4, 6]),
+                    np.zeros(3), np.full(3, 0.1), x, z)
+        got = unpack_bits(x, 64)[0]
+        assert got.nonzero()[0].tolist() == [6]
+        assert np.array_equal(x, z)
