@@ -11,7 +11,9 @@ ones collapse to a small set of distinct fired-detector patterns.  The
    yields);
 2. the empty syndrome short-circuits to "no correction";
 3. distinct syndromes are decoded **once** per batch and the predictions are
-   scattered back to every shot that produced them;
+   scattered back to every shot that produced them; first, the ``_prefetch``
+   hook receives the detectors of the ones the memo does not hold, so a
+   subclass can warm per-detector state for all of them at once;
 4. a bounded cross-batch memo (``REPRO_SYNDROME_CACHE`` entries, default
    65536; ``0`` disables it) lets later batches — e.g. successive waves of
    the adaptive shot scheduler — reuse earlier decodes outright; once full
@@ -34,7 +36,7 @@ lives here.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from ..env import env_int
 
@@ -132,6 +134,13 @@ class BatchDecoderBase:
         """Decode one canonical syndrome to its observable parity set."""
         raise NotImplementedError
 
+    def _prefetch(self, detectors: Set[int]) -> None:
+        """Warm per-detector state before a batch's new syndromes decode.
+
+        Receives every detector of the batch's distinct syndromes that the
+        memo does not hold; the default does nothing.
+        """
+
     # ------------------------------------------------------------------
     def decode_fired(self, fired: Sequence[int]) -> FrozenSet[int]:
         """Memoised decode of one sparse syndrome."""
@@ -194,6 +203,10 @@ class BatchDecoderBase:
             keys.append(key)
             if key not in distinct:
                 distinct[key] = None
+        memo = self._syndrome_memo
+        missing = [key for key in distinct if key not in memo]
+        if missing:
+            self._prefetch(set().union(*missing))
         for key in distinct:
             distinct[key] = self._decode_canonical(key)
         return [distinct[key] if key else empty for key in keys]

@@ -13,11 +13,14 @@ This replaces PyMatching.  The decoder operates in two stages:
    boundary distance and the matching and the post-matching path walk agree
    on what a boundary match means.
 
-   The graph also owns the decoder's *geodesic cache*: single-source Dijkstra
-   sweeps (distances + predecessors) are computed lazily, once per source
+   The graph also owns the decoder's *geodesic cache*: Dijkstra rows
+   (distances + predecessors) are computed lazily, once per source
    detector, and the observable parity of each detector-pair geodesic is
-   memoised as a frozenset.  All shots — and all batches — share these
-   caches.
+   memoised as a frozenset.  The detectors of a batch's new syndromes are
+   swept together, in one multi-source directed Dijkstra call over the
+   symmetric adjacency (the rows of an undirected sweep, without scipy
+   symmetrising the graph per call).  All shots — and all batches — share
+   these caches.
 
 2. :class:`MwpmDecoder` decodes *distinct* syndromes (the deduplicating batch
    machinery lives in :class:`~repro.decoder.base.BatchDecoderBase`).  A
@@ -26,21 +29,37 @@ This replaces PyMatching.  The decoder operates in two stages:
    pairs, its perfect matchings are the ways to pair some fired detectors
    and send the rest to the boundary (1, 2, 4, 10, 26, 76, 232, 764, 2620
    and 9496 of them for k = 1..10).  For ``k <= MAX_K`` every such pairing
-   is scored at once: one numpy gather of cached geodesic distances through
-   a precomputed per-``k`` index table, and a row sum.  The predicted
-   observable flip is the XOR of the cached path parities of the matched
-   pairs.  When every pairing within a relative ``1e-9`` of the minimum
-   gives the same parity, that parity is returned — blossom would pick one
-   of those pairings, so the answer is the same.  A genuine tie (the
-   near-optimal pairings disagree), ``k > MAX_K`` or a non-finite boundary
-   distance falls back to a complete graph over the fired detectors solved
-   with networkx's blossom implementation (``min_weight_matching``), whose
-   matched pairs are XORed the same way.
+   is scored: in closed form for one detector (the boundary match) and two
+   (the pair against both to the boundary), otherwise by one numpy gather
+   of cached geodesic distances through a precomputed per-``k`` index
+   table, and a row sum.  The predicted observable flip is the XOR of the
+   cached path parities of the matched pairs.  When every pairing within a
+   relative ``1e-9`` of the minimum gives the same parity, that parity is
+   returned — blossom would pick one of those pairings, so the answer is
+   the same.
 
-Decoding a batch therefore performs at most one Dijkstra sweep per distinct
-fired detector and one pairing enumeration (rarely a blossom matching) per
-distinct syndrome — at low physical error rates, orders of magnitude less
-work than the historical shot-by-shot loop, with bit-identical predictions.
+   A syndrome with ``k > MAX_K`` is first split into clusters.  Detectors
+   ``u`` and ``v`` stay linked unless pairing them costs what sending both
+   to the boundary costs (``d(u, v) = b(u) + b(v)`` within a tolerance) and
+   flips the same observables (``path_parity(u, v) = path_parity(u, B) ^
+   path_parity(v, B)``): any matching that pairs them across clusters can
+   then be swapped for two boundary matches of the same cost and parity.
+   Each cluster of at most ``MAX_K`` detectors is enumerated with the tie
+   window of the whole syndrome's optimum, and the cluster parities are
+   XORed.
+
+   A genuine tie (near-optimal pairings of the syndrome, or of one of its
+   clusters, disagree), a cluster of more than ``MAX_K`` detectors or a
+   non-finite boundary distance falls back to a complete graph over all
+   fired detectors solved with networkx's blossom implementation
+   (``min_weight_matching``), whose matched pairs are XORed the same way.
+   ``blossom_calls`` counts exactly these fallbacks.
+
+Decoding a batch therefore performs at most one Dijkstra call, over the
+detectors it has not seen before, and one pairing enumeration per distinct
+syndrome or cluster (rarely a blossom matching) — at low physical error
+rates, orders of magnitude less work than the historical shot-by-shot loop,
+with bit-identical predictions.
 """
 
 from __future__ import annotations
@@ -48,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -63,9 +82,9 @@ __all__ = ["MatchingGraph", "MwpmDecoder"]
 _MIN_PROBABILITY = 1e-12
 _MAX_WEIGHT = 60.0
 
-#: Largest syndrome weight decoded by enumerating every pairing (9496 of
-#: them at k = 10, about 1 ms against 4 ms of blossom); heavier syndromes go
-#: to blossom.
+#: Largest syndrome weight, or cluster size, decoded by enumerating every
+#: pairing (9496 of them at k = 10, about 1 ms against 4 ms of blossom);
+#: heavier syndromes are split into clusters, larger clusters go to blossom.
 MAX_K = 10
 # Pairings whose cost is within this relative distance of the minimum count
 # as tied with it (blossom's float arithmetic may return any of them).
@@ -247,15 +266,28 @@ class MatchingGraph:
         """Cached (distances, predecessors) of one Dijkstra sweep from ``source``."""
         cached = self._geodesic_cache.get(source)
         if cached is None:
-            dist, predecessors = dijkstra(
-                self.adjacency,
-                directed=False,
-                indices=[source],
-                return_predecessors=True,
-            )
-            cached = (dist[0], predecessors[0])
-            self._geodesic_cache[source] = cached
+            self._sweep([source])
+            cached = self._geodesic_cache[source]
         return cached
+
+    def prefetch_geodesics(self, sources: Iterable[int]) -> None:
+        """Fill the geodesic rows of every uncached source in one sweep."""
+        missing = sorted(set(sources).difference(self._geodesic_cache))
+        if missing:
+            self._sweep(missing)
+
+    def _sweep(self, sources: List[int]) -> None:
+        # ``adjacency`` holds both directions of every edge with the same
+        # weight, so the directed sweep gives the rows of the undirected
+        # one without scipy symmetrising (and re-validating) the graph.
+        dist, predecessors = dijkstra(
+            self.adjacency,
+            directed=True,
+            indices=sources,
+            return_predecessors=True,
+        )
+        for source, row, pred in zip(sources, dist, predecessors):
+            self._geodesic_cache[source] = (row, pred)
 
     def pair_distance(self, u: int, v: int) -> float:
         """Geodesic distance between two nodes (cached per source)."""
@@ -309,10 +341,12 @@ class MwpmDecoder(BatchDecoderBase):
     :class:`~repro.decoder.base.BatchDecoderBase`) canonicalise and
     deduplicate syndromes; only *distinct* syndromes reach the matching
     stage below, which in turn only pays Dijkstra for detectors it has not
-    seen before (the sweeps live in the shared :class:`MatchingGraph`).
-    Syndromes of at most :data:`MAX_K` fired detectors are matched by
-    enumerating every pairing; ``blossom_calls`` counts the ones that
-    needed networkx blossom instead.
+    seen before (the sweeps live in the shared :class:`MatchingGraph`, and
+    a batch's new detectors are swept in one call).  Syndromes of at most
+    :data:`MAX_K` fired detectors are matched by enumerating every pairing,
+    heavier ones by enumerating their separable clusters;
+    ``blossom_calls`` counts the syndromes that needed networkx blossom
+    instead.
     """
 
     def __init__(self, graph: MatchingGraph | DetectorErrorModel):
@@ -323,13 +357,18 @@ class MwpmDecoder(BatchDecoderBase):
         self.num_observables = graph.num_observables
 
     # ------------------------------------------------------------------
+    def _prefetch(self, detectors: Set[int]) -> None:
+        self.graph.prefetch_geodesics(detectors)
+
     def _decode_fired(self, fired: Tuple[int, ...]) -> FrozenSet[int]:
         """Match one distinct syndrome and XOR the matched path parities."""
         dist_rows = [self.graph.geodesics_from(d)[0] for d in fired]
         if len(fired) <= MAX_K:
             parity = self._enumerated(fired, dist_rows)
-            if parity is not None:
-                return parity
+        else:
+            parity = self._split(fired, dist_rows)
+        if parity is not None:
+            return parity
         self.blossom_calls += 1
         return self._blossom(fired, dist_rows)
 
@@ -340,18 +379,46 @@ class MwpmDecoder(BatchDecoderBase):
         None means blossom must decide: a boundary distance is not finite,
         or the (near-)minimum pairings disagree on parity — a genuine tie.
         """
-        graph = self.graph
-        boundary = graph.boundary
+        totals, partners, best = self._pairings(fired, dist_rows)
+        # Pairing 0 sends every detector to the boundary.
+        if not math.isfinite(totals[0]):  # pragma: no cover - fallback edges
+            return None
+        return self._near_parity(fired, totals, partners,
+                                 best + _TIE_RTOL * max(best, 1.0))
+
+    def _pairings(self, fired: Tuple[int, ...], dist_rows: List[np.ndarray]):
+        """``(totals, partners, best)``: every pairing's cost, its partner
+        table and the least cost.
+
+        One and two detectors are priced in closed form (a list of floats);
+        more are scored at once with one gather through the ``k``-pairing
+        index table (an array).  Row 0 sends every detector to the boundary.
+        """
+        boundary = self.graph.boundary
         k = len(fired)
+        if k <= 2:
+            apart = dist_rows[0][boundary]
+            if k == 1:
+                return [apart], _pairing_table(1)[1], apart
+            # Both to the boundary, or the pair: the gather's sums, whose
+            # ``+ 0.0`` for the second end of a pair changes nothing.
+            totals = [apart + dist_rows[1][boundary], dist_rows[0][fired[1]]]
+            return totals, _pairing_table(2)[1], min(totals)
         columns = np.array(fired + (boundary,))
         costs = np.array([row[columns] for row in dist_rows])
         table, partners = _pairing_table(k)
         totals = costs.ravel()[table].sum(axis=1)
-        # Pairing 0 sends every detector to the boundary.
-        if not math.isfinite(totals[0]):  # pragma: no cover - fallback edges
-            return None
-        best = totals.min()
-        near = np.flatnonzero(totals <= best + _TIE_RTOL * max(best, 1.0))
+        return totals, partners, totals.min()
+
+    def _near_parity(self, fired: Tuple[int, ...], totals, partners: np.ndarray,
+                     limit: float) -> Optional[FrozenSet[int]]:
+        """Parity of every pairing costing at most ``limit``, or None if they differ."""
+        graph = self.graph
+        boundary = graph.boundary
+        if type(totals) is list:
+            near = [p for p, total in enumerate(totals) if total <= limit]
+        else:
+            near = np.flatnonzero(totals <= limit).tolist()
         parity = None
         for p in near:
             candidate: FrozenSet[int] = frozenset()
@@ -365,9 +432,88 @@ class MwpmDecoder(BatchDecoderBase):
                 return None
         return parity
 
+    def _split(self, fired: Tuple[int, ...],
+               dist_rows: List[np.ndarray]) -> Optional[FrozenSet[int]]:
+        """Parity of a syndrome above :data:`MAX_K` from its clusters, or None.
+
+        Each cluster of :meth:`_clusters` is enumerated on its own, with the
+        tie window of the whole syndrome's optimum, and the cluster parities
+        are XORed.  None — blossom decides — for a cluster tie or a cluster
+        of more than :data:`MAX_K` detectors.
+        """
+        clusters = self._clusters(fired, dist_rows)
+        if clusters is None or max(map(len, clusters)) > MAX_K:
+            return None
+        parts = []
+        total = 0.0
+        for members in clusters:
+            sub = tuple(fired[i] for i in members)
+            totals, partners, best = self._pairings(
+                sub, [dist_rows[i] for i in members])
+            parts.append((sub, totals, partners, best))
+            total += best
+        window = _TIE_RTOL * max(total, 1.0)
+        parity: FrozenSet[int] = frozenset()
+        for sub, totals, partners, best in parts:
+            part = self._near_parity(sub, totals, partners, best + window)
+            if part is None:
+                return None
+            parity ^= part
+        return parity
+
+    def _clusters(self, fired: Tuple[int, ...],
+                  dist_rows: List[np.ndarray]) -> Optional[List[List[int]]]:
+        """Positions in ``fired`` grouped into independently matchable clusters.
+
+        Detectors ``u < v`` may sit in different clusters when matching them
+        costs what sending both to the boundary costs (``d(u, v) =
+        b(u) + b(v)``, to a slack that ``k / 2`` such pairs cannot push past
+        the tie window) with the same parity: a minimum-weight matching's
+        pair across clusters can then be swapped for two boundary matches
+        without changing its cost or parity, so the optimum's parity is the
+        XOR of the clusters' optimal parities.  Every other pair is linked,
+        and clusters are the connected components.  None when a boundary
+        distance is not finite.
+        """
+        graph = self.graph
+        boundary = graph.boundary
+        k = len(fired)
+        columns = np.array(fired + (boundary,))
+        costs = np.array([row[columns] for row in dist_rows])
+        pair, apart = costs[:, :k], costs[:, k]
+        if not np.isfinite(apart).all():  # pragma: no cover - fallback edges
+            return None
+        # Each detector pays at least half its distance to the nearest other
+        # detector or the boundary, so this is a lower bound on the optimum.
+        nearest = np.minimum(apart, (pair + np.diag(np.full(k, np.inf))).min(axis=1))
+        tol = _TIE_RTOL * max(0.5 * float(nearest.sum()), 1.0) / k
+        separable = np.triu(apart[:, None] + apart[None, :] - pair <= tol, 1)
+        linked = np.triu(~separable, 1)
+
+        root = list(range(k))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(linked))):
+            root[find(i)] = find(j)
+        to_boundary = [graph.path_parity(d, boundary) for d in fired]
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(separable))):
+            ri, rj = find(i), find(j)
+            # A pair already in one cluster needs no parity check.
+            if ri != rj and (graph.path_parity(fired[i], fired[j])
+                             != to_boundary[i] ^ to_boundary[j]):
+                root[ri] = rj
+        clusters: Dict[int, List[int]] = {}
+        for i in range(k):
+            clusters.setdefault(find(i), []).append(i)
+        return list(clusters.values())
+
     def _blossom(self, fired: Tuple[int, ...],
                  dist_rows: List[np.ndarray]) -> FrozenSet[int]:
-        """Solve the matching with networkx blossom (ties and large k)."""
+        """Solve the matching with networkx blossom (ties, large clusters)."""
         graph = self.graph
         boundary = graph.boundary
         k = len(fired)

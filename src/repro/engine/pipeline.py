@@ -19,8 +19,11 @@ into a failure count for one circuit:
   each distinct syndrome once; its cross-batch memo and the matching graph's
   geodesic cache persist inside the pipeline object, so successive chunks,
   shards and scheduler waves reuse warm caches;
-* failures are tallied by comparing predicted observable parity sets against
-  the actual flipped-observable sets, shot by shot, without densifying.
+* failures are tallied without densifying: a shot with no fired detector
+  fails exactly when an observable flipped, which one OR-reduction and a
+  count over the packed words gives for all of them at once; only shots
+  with a fired detector compare their predicted parity set with their
+  flipped-observable tuple.
 
 The executor keeps one pipeline per task content hash per worker process
 (:func:`repro.engine.executor._context_for`), which is what lets the
@@ -52,8 +55,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..decoder.base import BatchDecoderBase
 from ..env import env_str
+from ..stabilizer.bitpack import unpack_bits
 from ..stabilizer.circuit import Circuit
 from ..stabilizer.packed import PackedFrameSimulator
 from .cache import ResultCache
@@ -153,9 +159,10 @@ class PipelineStats:
 
         Decoding, not sampling, dominates at d >= 5 even with batched,
         enumerated matching: the repository benchmark's traced
-        ``ler_decode`` run (d=5/d=7) spends about half its time matching
-        and about a quarter sampling.  This split shows which half a change
-        moved.
+        ``ler_decode`` run (d=5/d=7, 2-CPU host) spends about half its time
+        matching (Dijkstra sweeps included), under two fifths sampling and
+        about a twentieth extracting and tallying.  This split shows which
+        half a change moved.
         """
         total = self.sample_seconds + self.decode_seconds
         return self.sample_seconds / total if total > 0 else 0.0
@@ -281,19 +288,25 @@ class DecodingPipeline:
         blossom_before = decoder.blossom_calls
 
         t1 = time.perf_counter()
-        failures = 0
-        empty_shots = 0
+        # A shot with no fired detector decodes to "no flip", so it fails
+        # exactly when an observable flipped: count those from the words.
+        fired_words = np.bitwise_or.reduce(samples.detectors_packed, axis=0)
+        flipped_words = np.bitwise_or.reduce(samples.observables_packed, axis=0)
+        failures = int(np.count_nonzero(
+            unpack_bits(flipped_words & ~fired_words, shots)))
+        fired_shots = np.flatnonzero(unpack_bits(fired_words, shots))
+        empty_shots = shots - fired_shots.size
         chunks = 0
         for start in range(0, shots, self.chunk_shots):
             stop = min(start + self.chunk_shots, shots)
             fired = samples.fired_detectors(start, stop)
-            actual = samples.flipped_observables(start, stop)
             predictions = decoder.decode_fired_batch(fired, assume_canonical=True)
-            for syndrome, parity, actual_flips in zip(fired, predictions, actual):
-                if not syndrome:
-                    empty_shots += 1
-                if parity.symmetric_difference(actual_flips):
-                    failures += 1
+            lo, hi = np.searchsorted(fired_shots, (start, stop))
+            if hi > lo:
+                actual = samples.flipped_observables(start, stop)
+                for i in (fired_shots[lo:hi] - start).tolist():
+                    if predictions[i].symmetric_difference(actual[i]):
+                        failures += 1
             chunks += 1
         t2 = time.perf_counter()
 

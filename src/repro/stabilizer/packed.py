@@ -211,28 +211,32 @@ class PackedDetectorSamples:
     def _sparse_rows(self, packed: np.ndarray, start: int, stop: int) -> List[Tuple[int, ...]]:
         """Per-shot sorted index tuples for shots ``start..stop`` of a row set.
 
-        Only the words covering the requested shot range are unpacked, so a
-        chunked consumer never materialises the full dense matrix.
+        Scans the words covering the range with :func:`_hit_lanes` and
+        builds a tuple only for shots with a set bit; every other shot gets
+        the shared ``()``.
         """
         start, stop = int(start), int(stop)
         if not 0 <= start <= stop <= self.num_shots:
             raise ValueError(f"shot range [{start}, {stop}) outside 0..{self.num_shots}")
         n = stop - start
-        if n == 0:
-            return []
-        if packed.shape[0] == 0:
-            return [() for _ in range(n)]
-        word_lo = start // WORD_BITS
-        word_hi = num_words(stop)
-        bits = unpack_bits(packed[:, word_lo:word_hi], (word_hi - word_lo) * WORD_BITS)
-        window = bits[:, start - word_lo * WORD_BITS: start - word_lo * WORD_BITS + n]
-        rows, cols = np.nonzero(window.T)  # (shot, index) pairs, shot-major
         out: List[Tuple[int, ...]] = [()] * n
-        if rows.size:
-            split_at = np.searchsorted(rows, np.arange(1, n))
-            for shot, idx in enumerate(np.split(cols, split_at)):
-                if idx.size:
-                    out[shot] = tuple(int(i) for i in idx)
+        if n == 0 or packed.shape[0] == 0:
+            return out
+        word_lo = start // WORD_BITS
+        rows, shots = _hit_lanes(packed[:, word_lo:num_words(stop)])
+        shots -= start - word_lo * WORD_BITS
+        keep = (shots >= 0) & (shots < n)
+        if not keep.any():
+            return out
+        rows, shots = rows[keep], shots[keep]
+        # Shot-major with ascending rows per shot; the keys are distinct.
+        order = np.argsort(shots * packed.shape[0] + rows)
+        shots = shots[order]
+        idx = rows[order].tolist()
+        cuts = np.flatnonzero(np.diff(shots)) + 1
+        bounds = [0, *cuts.tolist(), len(idx)]
+        for shot, a, b in zip(shots[bounds[:-1]].tolist(), bounds, bounds[1:]):
+            out[shot] = tuple(idx[a:b])
         return out
 
     def fired_detectors(self, start: int = 0, stop: Optional[int] = None) -> List[Tuple[int, ...]]:
@@ -431,35 +435,20 @@ def _bitgen_mask(words: np.random.SFC64, aux: tuple, i0: int, i1: int,
     return out
 
 
-def _draw_scratch(rows: int, shots: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Allocate the shared exact-mode draw/compare scratch, validated once.
-
-    ``rng.random(out=...)`` requires a C-contiguous float64 target and
-    would otherwise re-derive that fact on every op x row-block call; a
-    freshly allocated 2-D array satisfies it by construction, and row
-    slices ``buf[:k]`` of a C-contiguous array stay C-contiguous, so one
-    explicit check here covers every per-block view the hot loop takes.
-    """
-    rbuf = np.empty((rows, shots))
-    hbuf = np.empty((rows, shots), dtype=bool)
-    if rbuf.dtype != np.float64 or not rbuf.flags.c_contiguous:
-        raise AssertionError("draw scratch must be C-contiguous float64")
-    if hbuf.dtype != np.bool_ or not hbuf.flags.c_contiguous:
-        raise AssertionError("hit scratch must be C-contiguous bool")
-    return rbuf, hbuf
-
-
 class DrawScratch:
-    """Reusable exact-mode draw/compare scratch shared across sampler calls.
+    """Exact-mode draw/compare scratch, reusable across sampler calls.
 
-    The fused execution layer runs several compiled programs back to back in
-    one worker invocation; each call would otherwise allocate (and fault in)
-    its own multi-MB :func:`_draw_scratch`.  A ``DrawScratch`` keeps one
-    flat float64 buffer and one flat bool buffer, growing them on demand,
-    and hands out ``(rows, shots)`` views of their prefixes.  Reshaping the
-    prefix of a flat C-contiguous array yields a C-contiguous view — the
-    property ``rng.random(out=...)`` requires — so segments with *different*
-    shot counts can share the same bytes.
+    Every exact-mode :meth:`PackedFrameSimulator.sample` draws from one: its
+    own fresh instance, or one the fused execution layer shares across the
+    compiled programs it runs back to back, so they allocate (and fault in)
+    the multi-MB buffers once.  A ``DrawScratch`` keeps one flat float64
+    buffer and one flat bool buffer, growing them on demand, and hands out
+    ``(rows, shots)`` views of their prefixes.  Reshaping the prefix of a
+    flat C-contiguous array yields a C-contiguous view — the property
+    ``rng.random(out=...)`` requires, checked once per view rather than on
+    every op x row-block call — and row slices ``buf[:k]`` of it stay
+    C-contiguous, so segments with *different* shot counts can share the
+    same bytes.
 
     Sharing can never change a drawn variate: every view is fully
     overwritten by ``rng.random(out=...)`` / ``np.less(..., out=...)``
@@ -792,10 +781,7 @@ class PackedFrameSimulator:
         if max_draw_rows and not bitgen:
             buf_rows = min(max_draw_rows,
                            max(1, _BLOCK_BYTES // max(shots * 8, 1)))
-            if scratch is None:
-                rbuf, hbuf = _draw_scratch(buf_rows, shots)
-            else:
-                rbuf, hbuf = scratch.view(buf_rows, shots)
+            rbuf, hbuf = (scratch or DrawScratch()).view(buf_rows, shots)
         if bitgen:
             words, trng = self._words, self._trng
             tail = _tail_mask(shots)

@@ -1,14 +1,18 @@
-"""Enumerated small-syndrome matching is bit-identical to the reference.
+"""Enumerated matching is bit-identical to the reference.
 
 :class:`~repro.decoder.matching.MwpmDecoder` scores every pairing of a
-syndrome with at most ``MAX_K`` fired detectors and falls back to networkx
-blossom only for genuine ties and larger syndromes.  These tests pin both
-paths against the frozen per-shot
+syndrome with at most ``MAX_K`` fired detectors (one and two in closed
+form), splits heavier syndromes into separable clusters of at most
+``MAX_K`` and enumerates those, and falls back to networkx blossom only for
+genuine ties and clusters larger than ``MAX_K``.  These tests pin every
+path against the frozen per-shot
 :func:`~repro.decoder.reference.reference_mwpm_decode`: exhaustively for
 every weight-1 and weight-2 syndrome of d=3/5/7 memory DEMs, on random
-syndromes of seeded adapted patches, and on a hand-built exact tie.
+syndromes of seeded adapted patches up to d=9 and weight ``2 * MAX_K``, and
+on hand-built exact ties, split syndromes and oversized clusters.
 """
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -106,30 +110,70 @@ def test_every_weight_one_and_two_syndrome_matches_reference(distance, kind):
 # ----------------------------------------------------------------------
 # Random syndromes on seeded adapted patches: both paths
 # ----------------------------------------------------------------------
+def _needs_blossom(graph, fired):
+    """Whether the routing rule sends a syndrome to blossom.
+
+    At most ``MAX_K`` detectors: when the enumerator sees a tie.  Above:
+    when a cluster is larger than ``MAX_K`` or a cluster, enumerated on its
+    own, sees a tie.
+    """
+    decoder = MwpmDecoder(graph)
+    fired = tuple(sorted(fired))
+    rows = [graph.geodesics_from(d)[0] for d in fired]
+    if len(fired) <= MAX_K:
+        return decoder._enumerated(fired, rows) is None
+    clusters = decoder._clusters(fired, rows)
+    if max(map(len, clusters)) > MAX_K:
+        return True
+    return any(decoder._enumerated(tuple(fired[i] for i in members),
+                                   [rows[i] for i in members]) is None
+               for members in clusters)
+
+
+def _assert_separable(graph, fired, clusters):
+    """Pairs across clusters cost and flip what two boundary matches do."""
+    fired = tuple(sorted(fired))
+    boundary = graph.boundary
+    label = {i: c for c, members in enumerate(clusters) for i in members}
+    assert sorted(label) == list(range(len(fired)))
+    for i, j in combinations(range(len(fired)), 2):
+        if label[i] == label[j]:
+            continue
+        u, v = fired[i], fired[j]
+        apart = graph.pair_distance(u, boundary) + graph.pair_distance(v, boundary)
+        assert graph.pair_distance(u, v) == pytest.approx(apart, rel=1e-9)
+        assert graph.path_parity(u, v) == (graph.path_parity(u, boundary)
+                                           ^ graph.path_parity(v, boundary))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_random_syndromes_on_adapted_patches_match_reference(data):
-    distance = data.draw(st.sampled_from([3, 5, 7]), label="distance")
+    distance = data.draw(st.sampled_from([3, 5, 7, 9]), label="distance")
     kind = data.draw(st.sampled_from([LINK_ONLY, LINK_AND_QUBIT]), label="kind")
     seed = data.draw(st.integers(0, 2), label="seed")
     graph = _memory_graph(distance, kind, seed)
-    weight = data.draw(st.integers(1, MAX_K + 2), label="weight")
+    weight = data.draw(st.integers(1, min(2 * MAX_K, graph.num_detectors)),
+                       label="weight")
     fired = data.draw(st.lists(st.integers(0, graph.num_detectors - 1),
                                min_size=weight, max_size=weight, unique=True),
                       label="fired")
     decoder = MwpmDecoder(graph)
     assert decoder.decode_fired(fired) == _reference(graph, fired)
+    assert decoder.blossom_calls == _needs_blossom(graph, fired)
     if weight > MAX_K:
-        assert decoder.blossom_calls == 1
+        key = tuple(sorted(fired))
+        rows = [graph.geodesics_from(d)[0] for d in key]
+        _assert_separable(graph, key, decoder._clusters(key, rows))
 
 
-def test_syndromes_above_max_k_take_blossom():
+def test_syndromes_above_max_k_take_blossom_only_for_ties_or_large_clusters():
     graph = _memory_graph(5)
     decoder = MwpmDecoder(graph)
     fired = tuple(range(0, 2 * (MAX_K + 1), 2))
     assert decoder.decode_fired(fired) == _reference(graph, fired)
-    assert decoder.blossom_calls == 1
+    assert decoder.blossom_calls == _needs_blossom(graph, fired)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +199,106 @@ def test_tie_with_different_parities_falls_back_to_blossom():
     fired = (0, 1, 2, 3)
     rows = [graph.geodesics_from(d)[0] for d in fired]
     assert decoder._enumerated(fired, rows) is None
+    assert decoder.decode_fired(fired) == _reference(graph, fired)
+    assert decoder.blossom_calls == 1
+
+
+# ----------------------------------------------------------------------
+# Cluster split above MAX_K
+# ----------------------------------------------------------------------
+def _with_boundary_singletons(dem, count, p=0.02):
+    """``dem`` plus ``count`` detectors that only reach the boundary.
+
+    Every other one flips observable 0 on its boundary edge.  Such a
+    detector is its own cluster: its only path to anything else runs
+    through the boundary.
+    """
+    n = dem.num_detectors
+    errors = list(dem.errors) + [DemError(p * (1 + i / 10), (n + i,), (0,) if i % 2 else ())
+                                 for i in range(count)]
+    return DetectorErrorModel(num_detectors=n + count,
+                              num_observables=dem.num_observables, errors=errors)
+
+
+def _groups_dem(groups=3, size=4):
+    """``groups`` disjoint chains of ``size`` detectors, no exact ties.
+
+    Chain edges are likely and each detector's boundary edge is not, so
+    every chain is one cluster; weights differ everywhere, so no two
+    pairings cost the same.
+    """
+    rng = np.random.default_rng(4)
+    errors = []
+    for g in range(groups):
+        base = g * size
+        for i in range(size):
+            errors.append(DemError(float(rng.uniform(1e-4, 1e-3)), (base + i,),
+                                   (0,) if i == 0 else ()))
+            if i + 1 < size:
+                errors.append(DemError(float(rng.uniform(5e-3, 5e-2)),
+                                       (base + i, base + i + 1), (0,) if i % 2 else ()))
+    return DetectorErrorModel(num_detectors=groups * size, num_observables=1,
+                              errors=errors)
+
+
+def test_tie_inside_a_separable_cluster_reaches_blossom():
+    graph = MatchingGraph(_with_boundary_singletons(_tie_dem(), MAX_K))
+    decoder = MwpmDecoder(graph)
+    fired = tuple(range(graph.num_detectors))
+    rows = [graph.geodesics_from(d)[0] for d in fired]
+    clusters = decoder._clusters(fired, rows)
+    assert sorted(map(len, clusters)) == [1] * MAX_K + [4]
+    assert decoder.decode_fired(fired) == _reference(graph, fired)
+    assert decoder.blossom_calls == 1
+
+
+def test_pair_as_cheap_as_the_boundary_but_of_other_parity_stays_linked():
+    """Detectors 0 and 1 cost (almost) the same paired or sent to the
+    boundary, but only their edge flips observable 0: splitting them would
+    hide that tie from blossom."""
+    p_boundary = 0.1
+    w_pair = 2 * math.log((1 - p_boundary) / p_boundary) - 1e-12
+    pair = DetectorErrorModel(num_detectors=2, num_observables=1, errors=[
+        DemError(p_boundary, (0,), ()), DemError(p_boundary, (1,), ()),
+        DemError(1 / (1 + math.exp(w_pair)), (0, 1), (0,))])
+    graph = MatchingGraph(_with_boundary_singletons(pair, MAX_K))
+    apart = 2 * graph.pair_distance(0, graph.boundary)
+    assert graph.pair_distance(0, 1) < apart
+    assert graph.pair_distance(0, 1) == pytest.approx(apart, rel=1e-12)
+    assert graph.path_parity(0, 1) == frozenset({0})
+    decoder = MwpmDecoder(graph)
+    fired = tuple(range(graph.num_detectors))
+    rows = [graph.geodesics_from(d)[0] for d in fired]
+    assert sorted(map(len, decoder._clusters(fired, rows))) == [1] * MAX_K + [2]
+    assert decoder.decode_fired(fired) == _reference(graph, fired)
+    assert decoder.blossom_calls == 1
+
+
+def test_splittable_syndrome_above_max_k_never_reaches_blossom(monkeypatch):
+    graph = MatchingGraph(_with_boundary_singletons(_groups_dem(), 3))
+    decoder = MwpmDecoder(graph)
+    fired = tuple(range(graph.num_detectors))
+    assert len(fired) > MAX_K
+    expected = _reference(graph, fired)
+
+    def no_blossom(*args):
+        raise AssertionError("blossom called for a splittable syndrome")
+
+    monkeypatch.setattr(MwpmDecoder, "_blossom", no_blossom)
+    assert decoder.decode_fired(fired) == expected
+    assert decoder.blossom_calls == 0
+    rows = [graph.geodesics_from(d)[0] for d in fired]
+    clusters = decoder._clusters(fired, rows)
+    assert sorted(map(len, clusters)) == [1, 1, 1, 4, 4, 4]
+    _assert_separable(graph, fired, clusters)
+
+
+def test_cluster_larger_than_max_k_reaches_blossom():
+    graph = MatchingGraph(_groups_dem(groups=1, size=MAX_K + 2))
+    decoder = MwpmDecoder(graph)
+    fired = tuple(range(graph.num_detectors))
+    rows = [graph.geodesics_from(d)[0] for d in fired]
+    assert [len(c) for c in decoder._clusters(fired, rows)] == [MAX_K + 2]
     assert decoder.decode_fired(fired) == _reference(graph, fired)
     assert decoder.blossom_calls == 1
 
