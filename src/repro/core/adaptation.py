@@ -47,11 +47,25 @@ clusters designated for *boundary handling*.
 
 The measurement schedule repetition count of each cluster equals the
 cluster's diameter in data-qubit units (minimum 1), following Sec. 3.
+
+Cluster numbering
+-----------------
+Clusters are numbered in the order :func:`defect_clusters` returns them,
+and that order rests on CPython set internals: each cluster is seeded by
+``set.pop()``, whose result depends on the set's insertion history and
+table resizes.  The numbering fixes the order of the patch's stabilizers
+and super-stabilizers, so it reaches memory circuits and every cache key
+derived from them: it is pinned output.  Canonical numbering (clusters
+sorted by least site) moves three seed-0 benchmark pins - ``defect_jobs``
+``c2/job/25`` and ``ler_decode`` ``c1/ler/14`` and ``c1/ler/15`` - so it
+waits for a change that re-pins them.  Until then every set that feeds the
+clustering must be built, grown and popped in the same sequence;
+``tests/test_adaptation_exact.py`` pins the output with a golden digest and
+checks the indexed loops against frozen all-pairs oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..noise.fabrication import DefectSet
@@ -68,25 +82,41 @@ _ENCODING_CHECK_MAX_SIZE = 23
 # ----------------------------------------------------------------------
 # Geometry helpers
 # ----------------------------------------------------------------------
-def _chebyshev(a: Coord, b: Coord) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def defect_clusters(sites: Iterable[Coord], max_distance: int = 2) -> List[Set[Coord]]:
     """Connected components of a set of lattice sites.
 
     Two sites belong to the same cluster when their Chebyshev distance is at
     most ``max_distance`` (2 = neighbouring plaquette / shared plaquette).
+
+    The order of the returned clusters is pinned output: it numbers the
+    clusters of an adapted patch, and through them the order of its
+    stabilizers, its memory circuit and the cache keys derived from it.  It
+    rests on CPython set internals.  Each cluster is seeded by
+    ``remaining.pop()``, and where that pop lands depends on when
+    ``remaining -= near`` shrinks the set's table, i.e. on the exact sequence
+    of set operations below.  So whenever a site has two or more unvisited
+    neighbours, ``near`` is built by iterating ``remaining`` itself and
+    keeps its order.  Sorting the clusters canonically (by least site)
+    moves three seed-0 benchmark pins (``defect_jobs`` ``c2/job/25``,
+    ``ler_decode`` ``c1/ler/14`` and ``c1/ler/15``), so it waits for a
+    change that re-pins them.
     """
+    reach = range(-max_distance, max_distance + 1)
     remaining = set(sites)
     clusters: List[Set[Coord]] = []
     while remaining:
-        seed = remaining.pop()
+        seed = remaining.pop()  # repro-lint: ignore[R004] -- set-pop order is the pinned cluster numbering
         cluster = {seed}
         frontier = [seed]
         while frontier:
-            current = frontier.pop()
-            near = {s for s in remaining if _chebyshev(s, current) <= max_distance}
+            cx, cy = frontier.pop()
+            box = {(cx + dx, cy + dy) for dx in reach for dy in reach}
+            near = box & remaining
+            if len(near) > 1:
+                # The frontier, and with it every later set operation,
+                # inherits the order of ``near``: take two or more
+                # neighbours in ``remaining``'s own iteration order.
+                near = {s for s in remaining if s in box}
             remaining -= near
             cluster |= near
             frontier.extend(near)
@@ -95,11 +125,17 @@ def defect_clusters(sites: Iterable[Coord], max_distance: int = 2) -> List[Set[C
 
 
 def cluster_diameter(cluster: Iterable[Coord]) -> float:
-    """Diameter of a defect cluster in data-qubit units (lattice distance / 2)."""
+    """Diameter of a defect cluster in data-qubit units (lattice distance / 2).
+
+    The largest pairwise Chebyshev distance equals the larger side of the
+    cluster's bounding box.
+    """
     cluster = list(cluster)
     if len(cluster) <= 1:
         return 0.0
-    return max(_chebyshev(a, b) for a, b in itertools.combinations(cluster, 2)) / 2.0
+    xs = [x for x, _ in cluster]
+    ys = [y for _, y in cluster]
+    return max(max(xs) - min(xs), max(ys) - min(ys)) / 2.0
 
 
 def _is_diagonal_pair(a: Coord, b: Coord) -> bool:
@@ -167,38 +203,50 @@ class _AdaptationState:
         return out
 
     def active_support(self, check: Check, disabled_data: Set[Coord]) -> Tuple[Coord, ...]:
-        return tuple(d for d in check.data if d not in disabled_data)
+        return tuple([d for d in check.data if d not in disabled_data])
 
     def enabled_checks(self) -> List[Check]:
-        return [c for c in self.layout.checks if c.ancilla not in self.disabled_anc]
+        disabled_anc = self.disabled_anc
+        return [c for c in self.layout.checks if c.ancilla not in disabled_anc]
 
 
 # ----------------------------------------------------------------------
 # Fixpoint pieces
 # ----------------------------------------------------------------------
 def _structural_fixpoint(state: _AdaptationState) -> bool:
-    """Apply the ancilla/data excision rules until stable.  Returns change flag."""
+    """Apply the ancilla/data excision rules until stable.  Returns change flag.
+
+    Only damaged parts of the layout can be excised.  A check with no
+    disabled data qubit keeps its whole plaquette, which has two or more
+    qubits and is never a lone diagonal pair; a data qubit in no disabled
+    check keeps checks of both types.  So rule A visits only the checks
+    holding a disabled data qubit, and rule B only the data qubits of a
+    disabled check.  Visits stay in layout order, so the excised sets grow
+    in the same order as under passes over the whole layout.
+    """
     layout = state.layout
+    disabled_data = state.disabled_data()
+    disabled_anc = state.disabled_anc
     changed_any = False
     for _ in range(_MAX_ITERATIONS):
-        changed = False
-        disabled_data = state.disabled_data()
-        disabled_anc = state.disabled_anc
         # Rule A: ancillas with too little usable support.
+        damaged = {c.ancilla for d in disabled_data for c in layout.checks_containing[d]}
+        new_anc = []
         for check in layout.checks:
-            if check.ancilla in disabled_anc:
+            if check.ancilla not in damaged or check.ancilla in disabled_anc:
                 continue
-            support = state.active_support(check, disabled_data)
-            if len(support) <= 1:
-                state.excised_anc.add(check.ancilla)
-                changed = True
-            elif len(support) == 2 and _is_diagonal_pair(*support):
-                state.excised_anc.add(check.ancilla)
-                changed = True
+            support = [d for d in check.data if d not in disabled_data]
+            if len(support) <= 1 or (
+                len(support) == 2 and _is_diagonal_pair(*support)
+            ):
+                new_anc.append(check.ancilla)
+        state.excised_anc.update(new_anc)
+        disabled_anc.update(new_anc)
         # Rule B: data qubits with no enabled check of some type.
-        disabled_anc = state.disabled_anc
+        exposed = {d for a in disabled_anc for d in layout.check_by_ancilla[a].data}
+        new_data = []
         for data in layout.data_qubits:
-            if data in disabled_data:
+            if data not in exposed or data in disabled_data:
                 continue
             kinds = {
                 c.kind
@@ -206,9 +254,10 @@ def _structural_fixpoint(state: _AdaptationState) -> bool:
                 if c.ancilla not in disabled_anc
             }
             if "X" not in kinds or "Z" not in kinds:
-                state.excised_data.add(data)
-                changed = True
-        if not changed:
+                new_data.append(data)
+        state.excised_data.update(new_data)
+        disabled_data.update(new_data)
+        if not (new_anc or new_data):
             break
         changed_any = True
     return changed_any
@@ -216,8 +265,7 @@ def _structural_fixpoint(state: _AdaptationState) -> bool:
 
 def _broken_checks(state: _AdaptationState, disabled_data: Set[Coord]) -> List[Check]:
     return [
-        c for c in state.enabled_checks()
-        if any(d in disabled_data for d in c.data)
+        c for c in state.enabled_checks() if not disabled_data.isdisjoint(c.data)
     ]
 
 
@@ -348,7 +396,7 @@ def _nearest_boundary_kind(layout: RotatedSurfaceCodeLayout, coord: Coord) -> st
 
 def _commutation_repair(
     state: _AdaptationState,
-    regular_checks: List[Check],
+    deformed: List[Check],
     gauge_checks: List[Check],
     disabled_data: Set[Coord],
 ) -> Tuple[bool, Set[Coord]]:
@@ -357,49 +405,60 @@ def _commutation_repair(
     Returns ``(changed, clusters_to_demote)`` where the second element lists
     gauge ancillas whose cluster must be demoted to boundary handling because
     a gauge anticommutes with a regular stabilizer.
-    """
-    supports = {
-        c.ancilla: set(state.active_support(c, disabled_data)) for c in regular_checks
-    }
-    gauge_supports = {
-        c.ancilla: set(state.active_support(c, disabled_data)) for c in gauge_checks
-    }
-    changed = False
-    demote: Set[Coord] = set()
 
-    regular = [c for c in regular_checks]
-    for i in range(len(regular)):
-        a = regular[i]
-        if a.ancilla in state.excised_anc:
+    The regular stabilizers are the intact checks followed by the
+    ``deformed`` ones.  Only deformed checks can anticommute: an intact
+    check has no disabled data qubit, so its overlap with any support is its
+    overlap with a whole plaquette of the layout, which is even.
+
+    Excision is order dependent.  Pairs ``(i, j)``, ``i < j``, of deformed
+    checks are visited in increasing ``i`` then ``j``.  A check excised
+    before its turn as ``i`` drops out of every later pair; one excised
+    during its own turn still meets the rest of its partners.  Checks
+    sharing no data qubit have an empty overlap, so each check meets only
+    the partners a data qubit -> check index lists.
+    """
+    supports = [set(state.active_support(c, disabled_data)) for c in deformed]
+    index: Dict[Tuple[str, Coord], List[int]] = {}
+    for pos, (check, support) in enumerate(zip(deformed, supports)):
+        for d in support:
+            index.setdefault((check.kind, d), []).append(pos)
+
+    def partners(check: Check, support: Set[Coord]) -> Set[int]:
+        """Positions of opposite-type deformed checks sharing a data qubit."""
+        other = "Z" if check.kind == "X" else "X"
+        return {pos for d in support for pos in index.get((other, d), ())}
+
+    excised = state.excised_anc
+    changed = False
+    for i, a in enumerate(deformed):
+        if a.ancilla in excised:
             continue
-        for j in range(i + 1, len(regular)):
-            b = regular[j]
-            if b.ancilla in state.excised_anc or a.kind == b.kind:
+        for j in sorted(partners(a, supports[i])):
+            b = deformed[j]
+            if j < i or b.ancilla in excised:
                 continue
-            overlap = len(supports[a.ancilla] & supports[b.ancilla])
-            if overlap % 2 == 0:
+            if len(supports[i] & supports[j]) % 2 == 0:
                 continue
             # Excise the check whose type differs from the nearest boundary's
             # host type; break ties towards the more damaged (smaller) check.
             boundary_kind = _nearest_boundary_kind(state.layout, a.ancilla)
-            candidates = sorted(
-                (a, b),
-                key=lambda c: (c.kind == boundary_kind, len(supports[c.ancilla])),
+            victim = min(
+                ((a, supports[i]), (b, supports[j])),
+                key=lambda cs: (cs[0].kind == boundary_kind, len(cs[1])),
             )
-            victim = candidates[0]
-            state.excised_anc.add(victim.ancilla)
+            excised.add(victim[0].ancilla)
             changed = True
 
     # Regular stabilizers must also commute with every gauge operator.
-    for check in regular:
-        if check.ancilla in state.excised_anc:
-            continue
-        for g in gauge_checks:
-            if g.kind == check.kind:
-                continue
-            overlap = len(supports[check.ancilla] & gauge_supports[g.ancilla])
-            if overlap % 2 == 1:
-                demote.add(g.ancilla)
+    demote: Set[Coord] = set()
+    for g in gauge_checks:
+        g_support = set(state.active_support(g, disabled_data))
+        if any(
+            deformed[j].ancilla not in excised and len(supports[j] & g_support) % 2
+            for j in partners(g, g_support)
+        ):
+            demote.add(g.ancilla)
     return changed, demote
 
 
@@ -468,12 +527,8 @@ def adapt_patch(layout: RotatedSurfaceCodeLayout, defects: DefectSet) -> Adapted
             target = gauge_checks if interior.get(idx, False) else deformed_regular
             target.extend(checks)
 
-        intact = [
-            c for c in state.enabled_checks()
-            if not any(d in disabled_data for d in c.data)
-        ]
         repair_changed, demote = _commutation_repair(
-            state, intact + deformed_regular, gauge_checks, disabled_data
+            state, deformed_regular, gauge_checks, disabled_data
         )
         if demote:
             # A gauge anticommutes with a regular stabilizer: its cluster must
@@ -500,8 +555,7 @@ def adapt_patch(layout: RotatedSurfaceCodeLayout, defects: DefectSet) -> Adapted
     cluster_repetitions: Dict[int, int] = {}
 
     intact = [
-        c for c in state.enabled_checks()
-        if not any(d in disabled_data for d in c.data)
+        c for c in state.enabled_checks() if disabled_data.isdisjoint(c.data)
     ]
     stabilizers.extend(intact)
 

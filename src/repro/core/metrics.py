@@ -61,21 +61,27 @@ class ChainGraph:
 
     def shortest_path_length(self) -> Optional[int]:
         """Length of the shortest boundary-to-boundary path (the code distance)."""
-        dist = self._bfs_distances()
-        return dist.get(_BOUNDARY_B)
+        return self._bfs_distances().get(_BOUNDARY_B)
 
     def shortest_path_count(self) -> int:
         """Number of shortest boundary-to-boundary paths, with multiplicity."""
+        return self._count_shortest(self._bfs_distances())
+
+    def shortest_paths(self) -> Tuple[Optional[int], int]:
+        """``(shortest_path_length(), shortest_path_count())`` from one BFS."""
         dist = self._bfs_distances()
+        return dist.get(_BOUNDARY_B), self._count_shortest(dist)
+
+    def _count_shortest(self, dist: Dict[object, int]) -> int:
         if _BOUNDARY_B not in dist:
             return 0
         counts: Dict[object, int] = {_BOUNDARY_A: 1}
-        order = sorted(dist, key=lambda n: dist[n])
-        for node in order:
+        # BFS fills ``dist`` in non-decreasing distance order.
+        for node, depth in dist.items():
             if node not in counts:
                 continue
             for nb, qubits in self.adjacency.get(node, {}).items():
-                if dist.get(nb) == dist[node] + 1:
+                if dist.get(nb) == depth + 1:
                     counts[nb] = counts.get(nb, 0) + counts[node] * len(qubits)
         return counts.get(_BOUNDARY_B, 0)
 
@@ -304,18 +310,17 @@ def evaluate_patch(patch: AdaptedPatch) -> PatchMetrics:
             largest_cluster_diameter=0.0,
             valid=False,
         )
-    graph_x = build_chain_graph(patch, "X")
-    graph_z = build_chain_graph(patch, "Z")
-    dx = graph_x.shortest_path_length() or 0
-    dz = graph_z.shortest_path_length() or 0
+    dx, count_x = build_chain_graph(patch, "X").shortest_paths()
+    dz, count_z = build_chain_graph(patch, "Z").shortest_paths()
+    dx, dz = dx or 0, dz or 0
     disabled_sites = set(patch.disabled_data) | set(patch.disabled_ancillas)
     clusters = defect_clusters(disabled_sites)
     largest = max((cluster_diameter(c) for c in clusters), default=0.0)
     return PatchMetrics(
         distance_x=int(dx),
         distance_z=int(dz),
-        num_shortest_x=graph_x.shortest_path_count(),
-        num_shortest_z=graph_z.shortest_path_count(),
+        num_shortest_x=count_x,
+        num_shortest_z=count_z,
         num_faulty_qubits=patch.defects.num_faulty_qubits,
         num_faulty_links=patch.defects.num_faulty_links,
         num_disabled_data=len(patch.disabled_data),
