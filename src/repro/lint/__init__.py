@@ -12,7 +12,7 @@ task field that skips the hash, a stray ``np.random`` call, a raw
  R001   no global-state or unseeded RNG outside the blessed modules
  R002   ``REPRO_*`` variables read only via :mod:`repro.env`
  R003   no wall-clock/nondeterministic sources in hash/payload code
- R004   no order-dependent iteration over sets / directory listings
+ R004   no order-dependent set/listing iteration; no set pops
  R005   no mutable default args; shared module state takes a lock
  R006   content-hash completeness of every registered task spec
 ======  ==========================================================

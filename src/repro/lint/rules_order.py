@@ -17,7 +17,14 @@ The rule flags such an expression used directly as the iterable of a
 (or ``min``/``max``/``sum``/``len``/``any``/``all``/``set``/``frozenset``,
 whose results are order-free).
 
-This is lexical: a set stored in a variable and iterated three lines later
+The rule also flags a bare ``.pop()`` that takes an arbitrary element of
+a set: called on a set expression directly (``set(xs).pop()``), or on a
+name that the same function (or module body) binds to one
+(``remaining = set(sites)`` ... ``remaining.pop()``).  Which element a set
+pops depends on its insertion history and table resizes.  ``list.pop()``,
+``dict.pop(key)`` and pops on names bound to anything else are not flagged.
+
+Iteration is checked lexically: a set stored in a variable and iterated three lines later
 is invisible to the rule.  It still catches the pattern as it is actually
 written in practice — ``for x in set(...)`` and ``for p in
 root.iterdir()`` — and the repo's own convention (``tuple(sorted(...))``
@@ -28,7 +35,7 @@ at every producer) keeps the indirect case rare.  Iterating a ``dict``
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from .core import FileContext, Finding, Rule, register_rule
 
@@ -78,6 +85,14 @@ def _unordered_reason(ctx: FileContext, node: ast.expr) -> Optional[str]:
     return None
 
 
+def _set_reason(ctx: FileContext, node: ast.expr) -> Optional[str]:
+    """Like :func:`_unordered_reason`, restricted to set-valued expressions."""
+    reason = _unordered_reason(ctx, node)
+    if reason is None or "filesystem order" in reason:
+        return None
+    return reason
+
+
 def _finding(ctx: FileContext, node: ast.expr, reason: str) -> Finding:
     return Finding(
         rule=RULE_ID, path=ctx.path, line=node.lineno,
@@ -103,6 +118,65 @@ def _check(ctx: FileContext) -> Iterator[Finding]:
                     yield _finding(ctx, gen.iter, reason)
         elif isinstance(node, ast.Call):
             yield from _check_consumer(ctx, node)
+    for scope in _scopes(ctx.tree):
+        yield from _check_set_pops(ctx, scope)
+
+
+def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of one function or module body, without nested scopes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _check_set_pops(ctx: FileContext, scope: ast.AST) -> Iterator[Finding]:
+    nodes = list(_scope_nodes(scope))
+    set_names: Dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        reason = _set_reason(ctx, value)
+        if reason:
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    set_names[target.id] = reason
+    for node in nodes:
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pop"
+                and not node.args and not node.keywords):
+            continue
+        owner = node.func.value
+        reason = _set_reason(ctx, owner)
+        if reason is None and isinstance(owner, ast.Name):
+            reason = set_names.get(owner.id)
+        if reason:
+            yield Finding(
+                rule=RULE_ID, path=ctx.path, line=node.lineno,
+                col=node.col_offset + 1,
+                message=f"popping from a {reason} takes an arbitrary "
+                        "element: which one depends on the set's insertion "
+                        "history and table resizes",
+                fixit="pop from a sorted list or take min(...); if the "
+                      "set-pop order is itself pinned output, say so in a "
+                      "justified pragma",
+            )
 
 
 def _check_consumer(ctx: FileContext, node: ast.Call) -> Iterator[Finding]:

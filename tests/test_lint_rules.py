@@ -225,6 +225,63 @@ class TestR004Order:
                 return {x + 1 for x in set(xs)}
         """) == []
 
+    def test_flags_pop_on_name_bound_to_set(self):
+        assert rule_ids("""
+            def seed_of(sites):
+                remaining = set(sites)
+                return remaining.pop()
+        """) == ["R004"]
+
+    def test_flags_pop_on_set_literal_comprehension_and_expression(self):
+        assert rule_ids("""
+            def picks(xs, a, b):
+                lit = {1, 2, 3}
+                comp = {x + 1 for x in xs}
+                expr = a | {b}
+                return lit.pop(), comp.pop(), expr.pop()
+        """) == ["R004", "R004", "R004"]
+
+    def test_flags_pop_on_set_call_directly(self):
+        assert rule_ids("""
+            def any_one(xs):
+                return set(xs).pop()
+        """) == ["R004"]
+
+    def test_flags_pop_on_annotated_module_level_set(self):
+        assert rule_ids("""
+            from typing import Set
+            PENDING: Set[int] = set()
+            FIRST = PENDING.pop()
+        """) == ["R004"]
+
+    def test_list_dict_and_frontier_pops_are_fine(self):
+        assert rule_ids("""
+            def walk(seed, table, key):
+                frontier = [seed]
+                while frontier:
+                    current = frontier.pop()
+                table = {}
+                stack = list(seed)
+                return current, table.pop(key), stack.pop(), [1, 2].pop()
+        """) == []
+
+    def test_set_bound_in_another_function_is_not_tracked(self):
+        assert rule_ids("""
+            def make(xs):
+                items = set(xs)
+                return items
+
+            def take(items):
+                return items.pop()
+        """) == []
+
+    def test_justified_pragma_silences_set_pop(self):
+        assert rule_ids("""
+            def seed_of(sites):
+                remaining = set(sites)
+                return remaining.pop()  # repro-lint: ignore[R004] -- numbering is pinned
+        """) == []
+
 
 # ----------------------------------------------------------------------
 # R005 — mutable defaults; unlocked module-state mutation under threads
