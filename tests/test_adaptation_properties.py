@@ -1,7 +1,7 @@
 """Property tests for the physics chain: defect set → adapted patch →
 memory circuit → detector error model.
 
-Hypothesis draws seeded random defect sets for d = 3..7 under both defect
+Hypothesis draws seeded random defect sets for d = 3..9 under both defect
 models.  Every adapted patch must either be marked invalid with a reason or
 pass its invariants.  Every usable patch — one :func:`evaluate_patch` gives
 a logical path in both bases, which is what the engine requires before it
@@ -31,7 +31,7 @@ _NO_LOGICAL = "patch encodes no logical qubit at all"
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(distance=st.integers(3, 7),
+@given(distance=st.integers(3, 9),
        kind=st.sampled_from([LINK_ONLY, LINK_AND_QUBIT]),
        rate=st.sampled_from([0.005, 0.01, 0.02, 0.04]),
        seed=st.integers(0, 2**32 - 1))
