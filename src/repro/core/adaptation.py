@@ -203,7 +203,7 @@ class _AdaptationState:
         return out
 
     def active_support(self, check: Check, disabled_data: Set[Coord]) -> Tuple[Coord, ...]:
-        return tuple([d for d in check.data if d not in disabled_data])
+        return tuple(d for d in check.data if d not in disabled_data)
 
     def enabled_checks(self) -> List[Check]:
         disabled_anc = self.disabled_anc
@@ -443,11 +443,11 @@ def _commutation_repair(
             # Excise the check whose type differs from the nearest boundary's
             # host type; break ties towards the more damaged (smaller) check.
             boundary_kind = _nearest_boundary_kind(state.layout, a.ancilla)
-            victim = min(
+            victim, _ = min(
                 ((a, supports[i]), (b, supports[j])),
                 key=lambda cs: (cs[0].kind == boundary_kind, len(cs[1])),
             )
-            excised.add(victim[0].ancilla)
+            excised.add(victim.ancilla)
             changed = True
 
     # Regular stabilizers must also commute with every gauge operator.

@@ -61,7 +61,8 @@ class ChainGraph:
 
     def shortest_path_length(self) -> Optional[int]:
         """Length of the shortest boundary-to-boundary path (the code distance)."""
-        return self._bfs_distances().get(_BOUNDARY_B)
+        dist = self._bfs_distances()
+        return dist.get(_BOUNDARY_B)
 
     def shortest_path_count(self) -> int:
         """Number of shortest boundary-to-boundary paths, with multiplicity."""

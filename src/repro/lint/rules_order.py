@@ -24,9 +24,9 @@ name that the same function (or module body) binds to one
 pops depends on its insertion history and table resizes.  ``list.pop()``,
 ``dict.pop(key)`` and pops on names bound to anything else are not flagged.
 
-Iteration is checked lexically: a set stored in a variable and iterated three lines later
-is invisible to the rule.  It still catches the pattern as it is actually
-written in practice — ``for x in set(...)`` and ``for p in
+Iteration is checked lexically: a set stored in a variable and iterated
+three lines later is invisible to the rule.  It still catches the pattern
+as it is actually written in practice — ``for x in set(...)`` and ``for p in
 root.iterdir()`` — and the repo's own convention (``tuple(sorted(...))``
 at every producer) keeps the indirect case rare.  Iterating a ``dict``
 (insertion-ordered since 3.7) is deliberately *not* flagged.

@@ -7,6 +7,13 @@ digest hashes, over a seeded grid of widths, defect models and rates, the
 super-stabilizer order (which carries the cluster numbering), the
 per-cluster repetitions, the disabled sets, validity and the
 :func:`evaluate_patch` metrics.
+
+The indexed loops are also compared with frozen copies of the all-pairs
+loops they replaced (the ``_oracle_*`` functions), on seeded random states
+that include cascading excisions.  The comparison covers the order in which
+ancillas and data qubits are excised, not only the final sets: insertion
+order shapes the iteration order of the sets that seed
+:func:`defect_clusters`, and through it the cluster numbering.
 """
 
 import hashlib
