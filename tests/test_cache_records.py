@@ -2,27 +2,35 @@
 
 Each record kind the engine persists — an LER result, a yield result, a
 patch-sample batch and a syndrome memo — is written from fixed seeds and the
-sha256 of the file's bytes is pinned.  A change to a record's shape, field
+sha256 of the file's bytes is pinned.  The content hashes and canonical
+payloads of LER and cutoff-cell specs (which key those records) are pinned
+too, including non-default noise: bad qubits, factor overrides and numpy
+scalars that the spec constructors must normalise to plain JSON numbers.  A change to a record's shape, field
 names, number formatting or key derivation changes these digests, which is
 exactly what must never happen silently: existing caches on disk would stop
 answering (or, worse, answer with a different meaning).
 """
 
 import hashlib
+import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.engine.executor as ex
 from repro.chiplet.boundary import STANDARD_4
 from repro.core import adapt_patch
-from repro.engine import (Engine, EngineConfig, LerPointTask, PatchSampleTask,
-                          ShotPolicy, YieldTask)
+from repro.engine import (CutoffCellTask, Engine, EngineConfig, LerPointTask,
+                          PatchSampleTask, ShotPolicy, YieldTask,
+                          task_from_payload)
 from repro.engine.cache import ResultCache
 from repro.engine.executor import ler_cache_key, seeded_task_key
 from repro.engine.pipeline import memo_cache_key, memo_preload
 from repro.engine.rng import seed_fingerprint
-from repro.noise import LINK_AND_QUBIT, DefectSet
-from repro.surface_code import RotatedSurfaceCodeLayout
+from repro.engine.tasks import canonical_json
+from repro.noise import LINK_AND_QUBIT, CircuitNoiseModel, DefectSet
+from repro.surface_code import RotatedSurfaceCodeLayout, StabilityLayout
 
 SHARD_SIZE = 500
 
@@ -59,6 +67,101 @@ def _yield_tasks():
     return [YieldTask(allow_rotation=True, **base),
             YieldTask(boundary=(std.name, std.require_no_deformation,
                                 std.all_edges, std.target_distance), **base)]
+
+
+def _ler_specs():
+    clean = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
+    defective = adapt_patch(RotatedSurfaceCodeLayout(5), DefectSet.of(
+        qubits=[(5, 5)], links=[((3, 3), (2, 2))]))
+    stability = adapt_patch(StabilityLayout(4), DefectSet.of())
+    excised = adapt_patch(StabilityLayout(4), DefectSet.of(qubits=[(3, 3)]))
+    bad = (CircuitNoiseModel.standard(0.004)
+           .with_bad_qubit((np.int64(5), np.int64(3)), np.float32(0.1))
+           .with_bad_qubit((3, 3), 0.05))
+    overrides = CircuitNoiseModel(p=np.float64(0.003), reset_factor=0.5,
+                                  idle_data_factor=0.0)
+    keep = CutoffCellTask.from_patch("stability", stability, 0.004,
+                                     rounds=5, noise=bad)
+    disable = CutoffCellTask.from_patch("stability", excised, 0.004, rounds=5)
+    return {
+        "ler_default": LerPointTask.from_patch("memory", clean, 0.01),
+        "ler_defective_bitgen": LerPointTask.from_patch(
+            "memory", defective, 2e-3, rng_mode="bitgen"),
+        "ler_noise_overrides": LerPointTask.from_patch(
+            "memory", defective, 0.003, rounds=4, noise=overrides),
+        "ler_stability_bad_qubits": LerPointTask.from_patch(
+            "stability", stability, 0.004, rounds=5, noise=bad),
+        "cutoff_keep": replace(keep, strategy="keep",
+                               bad_qubit_error_rate=0.1),
+        "cutoff_disable": replace(disable, strategy="disable"),
+    }
+
+
+GOLDEN_SPECS = {
+    "ler_default": (
+        "99b3ebe10af5dc44d975d3c94691ab07aa33d44ce81844d08478d8c11d5746f4",
+        '{"decoder":"mwpm","experiment":"memory","faulty_links":[],"fault'
+        'y_qubits":[],"layout_kind":"rotated","noise":{"bad_qubits":[],"i'
+        'dle_data_factor":0.8,"p":0.01,"readout_factor":0.533333333333333'
+        '3,"reset_factor":0.0,"single_qubit_factor":0.8},"physical_error_'
+        'rate":0.01,"rounds":3,"size":3}'),
+    "ler_defective_bitgen": (
+        "0647829b8ea22b3826174334d37516e3d9a2bea95a8ca9b0f20c92d29e7f03d8",
+        '{"decoder":"mwpm","experiment":"memory","faulty_links":[[[3,3],['
+        '2,2]]],"faulty_qubits":[[5,5]],"layout_kind":"rotated","noise":{'
+        '"bad_qubits":[],"idle_data_factor":0.8,"p":0.002,"readout_factor'
+        '":0.5333333333333333,"reset_factor":0.0,"single_qubit_factor":0.'
+        '8},"physical_error_rate":0.002,"rng_mode":"bitgen","rounds":5,"s'
+        'ize":5}'),
+    "ler_noise_overrides": (
+        "e49f8f816bdc32e86a1d7e8cdf8ef54ec778792b18fe1f7fc7d7df5873a75cf5",
+        '{"decoder":"mwpm","experiment":"memory","faulty_links":[[[3,3],['
+        '2,2]]],"faulty_qubits":[[5,5]],"layout_kind":"rotated","noise":{'
+        '"bad_qubits":[],"idle_data_factor":0.0,"p":0.003,"readout_factor'
+        '":0.5333333333333333,"reset_factor":0.5,"single_qubit_factor":0.'
+        '8},"physical_error_rate":0.003,"rounds":4,"size":5}'),
+    "ler_stability_bad_qubits": (
+        "fbbd59db1883c690f2348553f35f012704a3f952bf99781dfda7d653ca512a69",
+        '{"decoder":"mwpm","experiment":"stability","faulty_links":[],"fa'
+        'ulty_qubits":[],"layout_kind":"stability","noise":{"bad_qubits":'
+        '[[[3,3],0.05],[[5,3],0.10000000149011612]],"idle_data_factor":0.'
+        '8,"p":0.004,"readout_factor":0.5333333333333333,"reset_factor":0'
+        '.0,"single_qubit_factor":0.8},"physical_error_rate":0.004,"round'
+        's":5,"size":4}'),
+    "cutoff_keep": (
+        "4e7dfa80009bce69081baa76be4fe004b8312c4d3d2ccc7ae8930fb9d1f41a52",
+        '{"bad_qubit_error_rate":0.1,"decoder":"mwpm","experiment":"stabi'
+        'lity","faulty_links":[],"faulty_qubits":[],"layout_kind":"stabil'
+        'ity","noise":{"bad_qubits":[[[3,3],0.05],[[5,3],0.10000000149011'
+        '612]],"idle_data_factor":0.8,"p":0.004,"readout_factor":0.533333'
+        '3333333333,"reset_factor":0.0,"single_qubit_factor":0.8},"physic'
+        'al_error_rate":0.004,"rounds":5,"size":4,"strategy":"keep"}'),
+    "cutoff_disable": (
+        "92be6a75b67928d5cd50004abec0e6825b64263e01fb1de2e734ef5d7d1af889",
+        '{"bad_qubit_error_rate":null,"decoder":"mwpm","experiment":"stab'
+        'ility","faulty_links":[],"faulty_qubits":[[3,3]],"layout_kind":"'
+        'stability","noise":{"bad_qubits":[],"idle_data_factor":0.8,"p":0'
+        '.004,"readout_factor":0.5333333333333333,"reset_factor":0.0,"sin'
+        'gle_qubit_factor":0.8},"physical_error_rate":0.004,"rounds":5,"s'
+        'ize":4,"strategy":"disable"}'),
+}
+
+
+class TestGoldenSpecs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_content_hash_and_payload(self, name):
+        task = _ler_specs()[name]
+        digest, payload = GOLDEN_SPECS[name]
+        assert canonical_json(task.payload()) == payload
+        assert task.content_hash() == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_payload_round_trip(self, name):
+        task = _ler_specs()[name]
+        digest, payload = GOLDEN_SPECS[name]
+        rebuilt = task_from_payload(task.kind, json.loads(payload))
+        assert rebuilt == task
+        assert rebuilt.content_hash() == digest
 
 
 class TestGoldenRecordBytes:
