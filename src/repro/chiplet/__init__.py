@@ -29,7 +29,7 @@ from .overhead import (
     overhead_factor,
     qubits_per_chiplet,
 )
-from .yield_model import YieldEstimator, YieldResult, defect_intolerant_yield
+from .yield_model import YieldResult, defect_intolerant_yield
 
 __all__ = [
     "ResourceEstimate",
@@ -57,7 +57,6 @@ __all__ = [
     "optimal_chiplet_size",
     "overhead_factor",
     "qubits_per_chiplet",
-    "YieldEstimator",
     "YieldResult",
     "defect_intolerant_yield",
 ]

@@ -12,10 +12,10 @@ about 25 billion syndrome cycles.  The paper estimates
   code-distance distribution of the accepted (or, for a monolithic device,
   all) patches (Tables 3-4).
 
-The super-stabilizer yield and accepted-distance distribution come from a
-:class:`~repro.chiplet.yield_model.YieldEstimator`, i.e. one
-``Engine.run_yield``, so seeded estimates do not depend on the engine's
-backend, worker count or cache.
+The super-stabilizer yield and accepted-distance distribution come from one
+:class:`~repro.engine.tasks.YieldTask` run by ``Engine.run_yield``, so
+seeded estimates do not depend on the engine's backend, worker count or
+cache.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from ..core.postselection import DistanceCriterion
+from ..engine.executor import default_engine
+from ..engine.tasks import YieldTask
 from ..noise.fabrication import DefectModel
 from .overhead import (
     average_cost_per_logical_qubit,
@@ -32,7 +33,7 @@ from .overhead import (
     overhead_factor,
     qubits_per_chiplet,
 )
-from .yield_model import YieldEstimator, YieldResult
+from .yield_model import YieldResult
 
 __all__ = [
     "ShorWorkload",
@@ -169,11 +170,12 @@ def estimate_super_stabilizer_resources(
     """
     d = workload.target_distance
     if yield_result is None:
-        estimator = YieldEstimator(
-            chiplet_size, defect_model, DistanceCriterion(d),
-            allow_rotation=allow_rotation, seed=seed,
-        )
-        yield_result = estimator.run(samples, engine=engine)
+        task = YieldTask(
+            chiplet_size=int(chiplet_size),
+            defect_model_kind=defect_model.kind,
+            defect_rate=float(defect_model.rate), samples=samples,
+            target_distance=d, allow_rotation=allow_rotation)
+        yield_result = (engine or default_engine()).run_yield(task, seed=seed)
     y = yield_result.yield_fraction
     cost = average_cost_per_logical_qubit(chiplet_size, y)
     return ResourceEstimate(

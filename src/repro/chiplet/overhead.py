@@ -7,7 +7,7 @@ the study - the choice of chiplet size, the comparison against the
 defect-intolerant baseline, the overhead envelope of Fig. 18 - derives from
 this quantity.
 
-Every Monte-Carlo cell is one :meth:`YieldEstimator.run`, i.e. one
+Every Monte-Carlo cell is one :class:`~repro.engine.tasks.YieldTask` run by
 ``Engine.run_yield`` on the study's ``engine`` (or the env-configured
 default engine): cells fan out over its backend, seeded cells are cached,
 and the counts depend on neither.  When a study additionally
@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from ..core.postselection import DistanceCriterion
+from ..engine.executor import default_engine
 from ..engine.rng import Seed, child_stream
+from ..engine.tasks import YieldTask
 from ..noise.fabrication import DefectModel
 from ..surface_code.layout import RotatedSurfaceCodeLayout
-from .yield_model import YieldEstimator, YieldResult, defect_intolerant_yield
+from .yield_model import YieldResult, defect_intolerant_yield
 
 __all__ = [
     "qubits_per_chiplet",
@@ -100,11 +101,9 @@ class OverheadStudy:
 
     def run(self) -> List[OverheadPoint]:
         points: List[OverheadPoint] = []
-        criterion = DistanceCriterion(self.target_distance)
         n_rates = len(self.defect_rates)
         for i, size in enumerate(self.chiplet_sizes):
             for j, rate in enumerate(self.defect_rates):
-                model = DefectModel(self.defect_model_kind, rate)
                 if rate == 0.0:
                     # No defects: every chiplet passes as long as l >= d.
                     y = 1.0 if size >= self.target_distance else 0.0
@@ -119,12 +118,14 @@ class OverheadStudy:
                 # collide between neighbouring cells.
                 cell_seed = (None if self.seed is None
                              else child_stream(self.seed, i * n_rates + j))
-                estimator = YieldEstimator(
-                    size, model, criterion,
-                    allow_rotation=self.allow_rotation,
-                    seed=cell_seed,
-                )
-                result = estimator.run(self.samples, engine=self.engine)
+                task = YieldTask(
+                    chiplet_size=int(size),
+                    defect_model_kind=self.defect_model_kind,
+                    defect_rate=float(rate), samples=self.samples,
+                    target_distance=self.target_distance,
+                    allow_rotation=self.allow_rotation)
+                result = (self.engine or default_engine()).run_yield(
+                    task, seed=cell_seed)
                 points.append(OverheadPoint.from_yield(result, self.target_distance))
         return points
 

@@ -3,8 +3,8 @@
 The *yield* is the fraction of fabricated chiplets that pass a post-selection
 criterion.  It is estimated by Monte-Carlo: sample fabrication defects for
 many chiplets, adapt a surface code to each, evaluate the indicators and test
-the criterion.  The estimator also records the code-distance distribution of
-the accepted chiplets, which feeds the application-fidelity estimates
+the criterion.  A run also records the code-distance distribution of the
+accepted chiplets, which feeds the application-fidelity estimates
 (Fig. 19, Tables 3-4).
 
 Yield sampling itself involves no decoding, but downstream consumers that
@@ -13,30 +13,23 @@ cutoff sweep, the LER benchmarks) hand the sampled patches to
 :class:`~repro.engine.tasks.LerPointTask` cells, which decode on the
 engine's fused :class:`~repro.engine.pipeline.DecodingPipeline`.
 
-Every run goes through one path: :meth:`YieldEstimator.run` mirrors the
-estimator into a frozen :class:`~repro.engine.tasks.YieldTask` spec and hands
-it to :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>`,
-which fans sample blocks out over the engine's backend and caches seeded
-results under the task's content hash, exactly like LER tasks.  Only the
-repo's own criterion, defect-model and boundary types are representable;
-anything else is rejected with a ``TypeError``.
+Every run goes through one path: a frozen
+:class:`~repro.engine.tasks.YieldTask` handed to :meth:`Engine.run_yield
+<repro.engine.executor.Engine.run_yield>`, which fans sample blocks out over
+the engine's backend, merges them with the helpers below and caches seeded
+results under the task's content hash, exactly like LER tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..analysis.stats import BinomialEstimate
-from ..core.postselection import PostSelectionCriterion
-from ..engine.executor import Engine, default_engine
-from ..engine.rng import Seed
-from ..engine.tasks import YieldTask
 from ..noise.fabrication import DefectModel
 from ..surface_code.layout import RotatedSurfaceCodeLayout
-from .boundary import BoundaryStandard
 
-__all__ = ["YieldResult", "YieldEstimator", "defect_intolerant_yield"]
+__all__ = ["YieldResult", "defect_intolerant_yield"]
 
 
 @dataclass
@@ -71,45 +64,6 @@ class YieldResult:
         if total == 0:
             return {}
         return {d: c / total for d, c in sorted(self.distance_counts.items())}
-
-
-class YieldEstimator:
-    """Monte-Carlo yield estimator over fabrication-defect samples."""
-
-    def __init__(
-        self,
-        chiplet_size: int,
-        defect_model: DefectModel,
-        criterion: PostSelectionCriterion,
-        *,
-        allow_rotation: bool = False,
-        boundary_standard: Optional[BoundaryStandard] = None,
-        seed: Seed = None,
-    ):
-        self.chiplet_size = int(chiplet_size)
-        self.defect_model = defect_model
-        self.criterion = criterion
-        self.allow_rotation = allow_rotation
-        self.boundary_standard = boundary_standard
-        self.seed = seed
-
-    def run(self, samples: int, *, engine: Optional[Engine] = None) -> YieldResult:
-        """Sample ``samples`` chiplets and measure the acceptance fraction.
-
-        The estimator is mirrored into a frozen :class:`YieldTask` and run by
-        :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>` on
-        ``engine`` or, when none is given, on the env-configured
-        :func:`~repro.engine.executor.default_engine`.  Sample ``i`` draws
-        RNG child stream ``i`` of the estimator's seed, so the counts are
-        identical for any backend, worker count and cache state, and
-        repeated calls on one estimator return the same result.
-
-        Raises ``TypeError`` when the criterion, defect model or boundary
-        standard is not one of the repo's own types (see
-        :meth:`YieldTask.from_estimator`).
-        """
-        task = YieldTask.from_estimator(self, samples)
-        return (engine or default_engine()).run_yield(task, seed=self.seed)
 
 
 def yield_block_ranges(samples: int, parallel_slots: int):

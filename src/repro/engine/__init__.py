@@ -60,7 +60,6 @@ from .tasks import (
     TASK_KINDS,
     CutoffCellTask,
     LerPointTask,
-    NoiseSpec,
     PatchSampleTask,
     TaskSpec,
     YieldTask,
@@ -98,7 +97,6 @@ __all__ = [
     "TASK_KINDS",
     "CutoffCellTask",
     "LerPointTask",
-    "NoiseSpec",
     "PatchSampleTask",
     "TaskSpec",
     "YieldTask",

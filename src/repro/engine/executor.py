@@ -181,19 +181,12 @@ class LerResult:
     def logical_error_rate(self) -> float:
         return self.failures / self.shots
 
-    def to_memory_result(self):
-        """Adapt to the legacy :class:`MemoryExperimentResult` shape."""
-        from ..experiments.memory import MemoryExperimentResult
-
-        return MemoryExperimentResult(
-            physical_error_rate=self.task.physical_error_rate,
-            rounds=self.task.rounds,
-            shots=self.shots,
-            failures=self.failures,
-            num_detectors=self.num_detectors,
-            num_dem_errors=self.num_dem_errors,
-            decoder=self.task.decoder,
-        )
+    def per_round_error_rate(self) -> float:
+        """Logical error rate converted to a per-round rate."""
+        total = self.logical_error_rate
+        if total >= 1.0:
+            return 1.0
+        return 1.0 - (1.0 - total) ** (1.0 / max(self.task.rounds, 1))
 
 
 @dataclass(frozen=True)
@@ -992,8 +985,9 @@ class Engine:
     def run_yield(self, task: YieldTask, *, seed: Seed = None):
         """Run a chiplet yield task; returns a :class:`YieldResult`.
 
-        The only way yield is computed: ``YieldEstimator.run`` (and with it
-        every figure entry point) and the service's yield jobs all land here.
+        The only way yield is computed: the overhead study, the resource
+        estimate, every figure entry point and the service's yield jobs
+        build a :class:`YieldTask` and land here.
         Sample blocks fan out over the backend and counts merge by plain
         summation; because sample ``i`` always draws RNG child stream ``i``
         of ``seed``, the result is identical for any worker count and block

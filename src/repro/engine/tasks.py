@@ -2,7 +2,8 @@
 
 A :class:`TaskSpec` is a *complete, self-contained* description of a unit of
 Monte-Carlo work, built only from primitive values (ints, floats, strings,
-tuples).  That buys three things at once:
+tuples) and the frozen :class:`~repro.noise.circuit_noise.CircuitNoiseModel`,
+itself a record of such values.  That buys three things at once:
 
 * tasks can be pickled to worker processes — local pool workers and remote
   ``repro.engine.worker`` hosts alike — without dragging circuit or decoder
@@ -16,7 +17,7 @@ tuples).  That buys three things at once:
   are pure functions of the spec fields, so every process rebuilds exactly
   the same computation.
 
-Three task kinds cover the repo's Monte-Carlo workloads:
+Four task kinds cover the repo's Monte-Carlo workloads:
 
 ``LerPointTask``
     One logical-error-rate point: a (patch, noise, rounds) cell of a memory
@@ -30,7 +31,7 @@ Three task kinds cover the repo's Monte-Carlo workloads:
 ``YieldTask``
     A chiplet yield Monte-Carlo (Figs. 12-17): sample defective chiplets and
     measure the fraction accepted by a post-selection criterion, with the
-    criterion and boundary standard mirrored into primitive fields.
+    criterion and boundary standard held as primitive fields.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from typing import Optional, Tuple
 from ..core.adaptation import adapt_patch
 from ..core.patch import AdaptedPatch
 from ..noise.circuit_noise import CircuitNoiseModel
-from ..noise.fabrication import LINK_AND_QUBIT, LINK_ONLY, DefectModel, DefectSet
+from ..noise.fabrication import DefectModel, DefectSet
 from ..stabilizer.packed import RNG_MODES
 from ..surface_code.circuits import build_memory_circuit, build_stability_circuit
 from ..surface_code.layout import RotatedSurfaceCodeLayout, StabilityLayout
 
 __all__ = [
     "ENGINE_SCHEMA_VERSION",
-    "NoiseSpec",
     "TaskSpec",
     "LerPointTask",
     "CutoffCellTask",
@@ -84,64 +84,29 @@ def _links(links) -> Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]:
                         for a, b in links))
 
 
-# ----------------------------------------------------------------------
-# Noise specification
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Primitive-field mirror of :class:`CircuitNoiseModel` (hashable/JSON-able)."""
+def _noise_payload(noise: CircuitNoiseModel) -> dict:
+    """JSON form of a noise model: the ``noise`` key of an LER payload."""
+    return {
+        "p": noise.p,
+        "single_qubit_factor": noise.single_qubit_factor,
+        "readout_factor": noise.readout_factor,
+        "idle_data_factor": noise.idle_data_factor,
+        "reset_factor": noise.reset_factor,
+        "bad_qubits": [[[c[0], c[1]], r] for c, r in noise.bad_qubits],
+    }
 
-    p: float
-    single_qubit_factor: float = 0.8
-    readout_factor: float = 8.0 / 15.0
-    idle_data_factor: float = 0.8
-    reset_factor: float = 0.0
-    bad_qubits: Tuple[Tuple[Tuple[int, int], float], ...] = ()
 
-    @classmethod
-    def from_model(cls, model: CircuitNoiseModel) -> "NoiseSpec":
-        return cls(
-            p=float(model.p),
-            single_qubit_factor=float(model.single_qubit_factor),
-            readout_factor=float(model.readout_factor),
-            idle_data_factor=float(model.idle_data_factor),
-            reset_factor=float(model.reset_factor),
-            bad_qubits=tuple(sorted(((int(c[0]), int(c[1])), float(r))
-                                    for c, r in model.bad_qubits)),
-        )
-
-    def to_model(self) -> CircuitNoiseModel:
-        return CircuitNoiseModel(
-            p=self.p,
-            single_qubit_factor=self.single_qubit_factor,
-            readout_factor=self.readout_factor,
-            idle_data_factor=self.idle_data_factor,
-            reset_factor=self.reset_factor,
-            bad_qubits=self.bad_qubits,
-        )
-
-    def payload(self) -> dict:
-        return {
-            "p": self.p,
-            "single_qubit_factor": self.single_qubit_factor,
-            "readout_factor": self.readout_factor,
-            "idle_data_factor": self.idle_data_factor,
-            "reset_factor": self.reset_factor,
-            "bad_qubits": [[[c[0], c[1]], r] for c, r in self.bad_qubits],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NoiseSpec":
-        """Inverse of :meth:`payload` (JSON lists back to hashable tuples)."""
-        return cls(
-            p=float(payload["p"]),
-            single_qubit_factor=float(payload["single_qubit_factor"]),
-            readout_factor=float(payload["readout_factor"]),
-            idle_data_factor=float(payload["idle_data_factor"]),
-            reset_factor=float(payload["reset_factor"]),
-            bad_qubits=tuple(((int(c[0]), int(c[1])), float(r))
-                             for c, r in payload["bad_qubits"]),
-        )
+def _noise_from_payload(payload: dict) -> CircuitNoiseModel:
+    """Inverse of :func:`_noise_payload`: plain floats, sorted bad qubits."""
+    return CircuitNoiseModel(
+        p=float(payload["p"]),
+        single_qubit_factor=float(payload["single_qubit_factor"]),
+        readout_factor=float(payload["readout_factor"]),
+        idle_data_factor=float(payload["idle_data_factor"]),
+        reset_factor=float(payload["reset_factor"]),
+        bad_qubits=tuple(sorted(((int(c[0]), int(c[1])), float(r))
+                                for c, r in payload["bad_qubits"])),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +149,7 @@ class LerPointTask(TaskSpec):
     faulty_links: Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]
     physical_error_rate: float
     rounds: int
-    noise: NoiseSpec
+    noise: CircuitNoiseModel
     rng_mode: str = "exact"
 
     kind = "ler_point"
@@ -199,6 +164,9 @@ class LerPointTask(TaskSpec):
             raise ValueError(f"unknown rng_mode {self.rng_mode!r}")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
+        # The domain types check width and rate.
+        RotatedSurfaceCodeLayout(self.size)
+        CircuitNoiseModel.standard(self.physical_error_rate)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -227,7 +195,8 @@ class LerPointTask(TaskSpec):
             faulty_links=_links(patch.defects.faulty_links),
             physical_error_rate=float(physical_error_rate),
             rounds=int(rounds),
-            noise=NoiseSpec.from_model(noise),
+            # Plain floats and sorted bad qubits: equal models hash equally.
+            noise=_noise_from_payload(_noise_payload(noise)),
             rng_mode=rng_mode,
         )
 
@@ -245,10 +214,9 @@ class LerPointTask(TaskSpec):
 
     def build_circuit(self):
         patch = self.patch()
-        noise = self.noise.to_model()
         if self.experiment == "stability":
-            return build_stability_circuit(patch, noise, self.rounds)
-        return build_memory_circuit(patch, noise, self.rounds)
+            return build_stability_circuit(patch, self.noise, self.rounds)
+        return build_memory_circuit(patch, self.noise, self.rounds)
 
     def payload(self) -> dict:
         out = {
@@ -259,7 +227,7 @@ class LerPointTask(TaskSpec):
             "faulty_links": [[list(a), list(b)] for a, b in self.faulty_links],
             "physical_error_rate": self.physical_error_rate,
             "rounds": self.rounds,
-            "noise": self.noise.payload(),
+            "noise": _noise_payload(self.noise),
             "decoder": self.decoder,
         }
         if self.rng_mode != "exact":
@@ -289,7 +257,7 @@ class LerPointTask(TaskSpec):
             faulty_links=_links(payload["faulty_links"]),
             physical_error_rate=float(payload["physical_error_rate"]),
             rounds=int(payload["rounds"]),
-            noise=NoiseSpec.from_payload(payload["noise"]),
+            noise=_noise_from_payload(payload["noise"]),
             rng_mode=str(payload.get("rng_mode", "exact")),
             **cls._extra_fields_from_payload(payload),
         )
@@ -354,8 +322,9 @@ class PatchSampleTask(TaskSpec):
     kind = "patch_sample"
 
     def __post_init__(self) -> None:
-        if self.defect_model_kind not in (LINK_ONLY, LINK_AND_QUBIT):
-            raise ValueError(f"unknown defect model {self.defect_model_kind!r}")
+        # The domain types check width, defect model kind and rate.
+        self.layout()
+        self.defect_model()
         if self.num_patches <= 0:
             raise ValueError("num_patches must be positive")
         if self.max_attempts_factor <= 0:
@@ -403,18 +372,17 @@ _CRITERIA = ("distance", "defect_free")
 class YieldTask(TaskSpec):
     """A chiplet yield Monte-Carlo with post-selection (Figs. 12-17).
 
-    Mirrors a :class:`~repro.chiplet.yield_model.YieldEstimator` run into
-    primitive fields; every yield run executes as one of these through
-    :meth:`Engine.run_yield <repro.engine.executor.Engine.run_yield>`, so
-    yield sweeps shard over the backend and land in the content-addressed
-    on-disk cache exactly like LER tasks.  Sample ``i`` of the batch always
-    draws RNG child stream ``i`` of the run's root seed, so the counts are
-    identical no matter how samples are blocked across workers.
+    Every yield run is one of these, run by :meth:`Engine.run_yield
+    <repro.engine.executor.Engine.run_yield>`, so yield sweeps shard over
+    the backend and land in the content-addressed on-disk cache exactly like
+    LER tasks.  Sample ``i`` of the batch always draws RNG child stream
+    ``i`` of the run's root seed, so the counts are identical no matter how
+    samples are blocked across workers.
 
-    Only the repo's own criterion/boundary/defect-model types are
-    representable (:class:`DistanceCriterion`, :class:`DefectFreeCriterion`,
-    :class:`BoundaryStandard`, :class:`DefectModel`); see
-    :meth:`from_estimator`.
+    The criterion is a :class:`DistanceCriterion` (``target_distance``,
+    ``use_operator_count``) or a :class:`DefectFreeCriterion`; a
+    :class:`BoundaryStandard` ``std`` is ``dataclasses.astuple(std)``, whose
+    field order is the ``boundary`` tuple order.
     """
 
     chiplet_size: int
@@ -431,67 +399,15 @@ class YieldTask(TaskSpec):
     kind = "yield"
 
     def __post_init__(self) -> None:
-        if self.defect_model_kind not in (LINK_ONLY, LINK_AND_QUBIT):
-            raise ValueError(f"unknown defect model {self.defect_model_kind!r}")
+        # The domain types check width, defect model kind and rate.
+        self.layout()
+        self.defect_model()
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if self.criterion_kind not in _CRITERIA:
             raise ValueError(f"unknown criterion kind {self.criterion_kind!r}")
         if self.criterion_kind == "distance" and self.target_distance is None:
             raise ValueError("distance criterion requires target_distance")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_estimator(cls, estimator, samples: int) -> "YieldTask":
-        """Primitive spec of a ``YieldEstimator.run(samples)`` call.
-
-        Raises ``TypeError`` naming the first criterion, defect-model or
-        boundary object the spec cannot represent.  Custom subclasses would
-        silently change meaning under an exact-type round-trip, so every
-        check is deliberately ``type() is``, not ``isinstance``.
-        """
-        from ..core.postselection import DefectFreeCriterion, DistanceCriterion
-
-        def unrepresentable(role: str, obj) -> TypeError:
-            return TypeError(
-                f"YieldTask cannot represent {role} of type "
-                f"{type(obj).__qualname__!r}; yield runs accept only the "
-                "repo's own DefectModel, DistanceCriterion/DefectFreeCriterion "
-                "and BoundaryStandard types")
-
-        if type(estimator.defect_model) is not DefectModel:
-            raise unrepresentable("defect model", estimator.defect_model)
-        crit = estimator.criterion
-        if type(crit) is DistanceCriterion:
-            criterion_kind = "distance"
-            target = int(crit.target_distance)
-            use_ops = bool(crit.use_operator_count)
-        elif type(crit) is DefectFreeCriterion:
-            criterion_kind, target, use_ops = "defect_free", None, True
-        else:
-            raise unrepresentable("criterion", crit)
-        boundary = None
-        std = estimator.boundary_standard
-        if std is not None:
-            from ..chiplet.boundary import BoundaryStandard
-
-            if type(std) is not BoundaryStandard:
-                raise unrepresentable("boundary standard", std)
-            boundary = (std.name, bool(std.require_no_deformation),
-                        bool(std.all_edges),
-                        None if std.target_distance is None
-                        else int(std.target_distance))
-        return cls(
-            chiplet_size=int(estimator.chiplet_size),
-            defect_model_kind=estimator.defect_model.kind,
-            defect_rate=float(estimator.defect_model.rate),
-            samples=int(samples),
-            criterion_kind=criterion_kind,
-            target_distance=target,
-            use_operator_count=use_ops,
-            allow_rotation=bool(estimator.allow_rotation),
-            boundary=boundary,
-        )
 
     # ------------------------------------------------------------------
     def layout(self) -> RotatedSurfaceCodeLayout:

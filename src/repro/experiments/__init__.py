@@ -2,7 +2,6 @@
 
 from .cutoff import CutoffPoint, CutoffStudy, run_cutoff_study
 from .memory import (
-    MemoryExperimentResult,
     logical_error_rate_curve,
     run_memory_experiment,
     run_stability_experiment,
@@ -13,7 +12,6 @@ __all__ = [
     "CutoffPoint",
     "CutoffStudy",
     "run_cutoff_study",
-    "MemoryExperimentResult",
     "logical_error_rate_curve",
     "run_memory_experiment",
     "run_stability_experiment",

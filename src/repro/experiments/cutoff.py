@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from ..core.adaptation import adapt_patch
-from ..engine.executor import Engine, default_engine
+from ..engine.executor import Engine, LerResult, default_engine
 from ..engine.rng import Seed
 from ..engine.tasks import CutoffCellTask
 from ..noise.circuit_noise import CircuitNoiseModel
 from ..noise.fabrication import DefectSet
 from ..surface_code.layout import Coord, StabilityLayout
-from .memory import MemoryExperimentResult
 
 __all__ = ["CutoffPoint", "CutoffStudy", "run_cutoff_study", "center_data_qubit"]
 
@@ -47,7 +46,7 @@ class CutoffPoint:
     strategy: str                  # "keep" or "disable"
     bad_qubit_error_rate: Optional[float]
     physical_error_rate: float
-    result: MemoryExperimentResult
+    result: LerResult
 
     @property
     def logical_error_rate(self) -> float:
@@ -136,7 +135,7 @@ def run_cutoff_study(
     results = eng.run_ler_many(tasks, shots=shots, seed=seed)
 
     points = [
-        CutoffPoint(strategy, bad_rate, p, result.to_memory_result())
+        CutoffPoint(strategy, bad_rate, p, result)
         for (strategy, bad_rate, p), result in zip(labels, results)
     ]
     return CutoffStudy(size=size, rounds=rounds, points=points)

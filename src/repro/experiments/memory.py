@@ -11,51 +11,33 @@ The sample→decode→tally inner loop runs on the engine's fused
 sparse syndrome extraction, deduplicated decoding against warm geodesic
 caches), so every driver in this module inherits its throughput without any
 code changes here; the numbers are bit-identical to the historical per-shot
-path for the same seeds.
+path for the same seeds.  Every driver returns the engine's
+:class:`~repro.engine.executor.LerResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..analysis.stats import BinomialEstimate
 from ..core.patch import AdaptedPatch
-from ..engine.executor import Engine, default_engine
+from ..engine.executor import Engine, LerResult, default_engine
 from ..engine.rng import Seed
 from ..engine.scheduler import ShotPolicy
 from ..engine.tasks import LerPointTask
 from ..noise.circuit_noise import CircuitNoiseModel
 
-__all__ = ["MemoryExperimentResult", "run_memory_experiment", "run_stability_experiment"]
+__all__ = ["run_memory_experiment", "run_stability_experiment"]
 
 
-@dataclass(frozen=True)
-class MemoryExperimentResult:
-    """Outcome of one logical-error-rate measurement."""
-
-    physical_error_rate: float
-    rounds: int
-    shots: int
-    failures: int
-    num_detectors: int
-    num_dem_errors: int
-    decoder: str
-
-    @property
-    def logical_error_rate(self) -> float:
-        return self.failures / self.shots
-
-    @property
-    def estimate(self) -> BinomialEstimate:
-        return BinomialEstimate(failures=self.failures, shots=self.shots)
-
-    def per_round_error_rate(self) -> float:
-        """Logical error rate converted to a per-round rate."""
-        total = self.logical_error_rate
-        if total >= 1.0:
-            return 1.0
-        return 1.0 - (1.0 - total) ** (1.0 / max(self.rounds, 1))
+def _run_experiment(experiment, patch, physical_error_rate, shots, rounds,
+                    noise, seed, engine, policy) -> LerResult:
+    task = LerPointTask.from_patch(
+        experiment, patch, physical_error_rate,
+        rounds=rounds, noise=noise,
+    )
+    eng = engine if engine is not None else default_engine()
+    return eng.run_ler(task, shots=None if policy else shots,
+                       policy=policy, seed=seed)
 
 
 def run_memory_experiment(
@@ -68,7 +50,7 @@ def run_memory_experiment(
     seed: Seed = None,
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
-) -> MemoryExperimentResult:
+) -> LerResult:
     """Measure the logical-Z memory error rate of an adapted patch.
 
     Runs through the execution engine: with the default (serial, single
@@ -94,14 +76,8 @@ def run_memory_experiment(
         Adaptive :class:`ShotPolicy` overriding the fixed ``shots`` budget
         (early stop on a target failure count or CI width).
     """
-    task = LerPointTask.from_patch(
-        "memory", patch, physical_error_rate,
-        rounds=rounds, noise=noise,
-    )
-    eng = engine if engine is not None else default_engine()
-    result = eng.run_ler(task, shots=None if policy else shots,
-                         policy=policy, seed=seed)
-    return result.to_memory_result()
+    return _run_experiment("memory", patch, physical_error_rate, shots,
+                           rounds, noise, seed, engine, policy)
 
 
 def run_stability_experiment(
@@ -114,16 +90,10 @@ def run_stability_experiment(
     seed: Seed = None,
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
-) -> MemoryExperimentResult:
+) -> LerResult:
     """Measure the stability-experiment failure rate (Sec. 6 of the paper)."""
-    task = LerPointTask.from_patch(
-        "stability", patch, physical_error_rate,
-        rounds=rounds, noise=noise,
-    )
-    eng = engine if engine is not None else default_engine()
-    result = eng.run_ler(task, shots=None if policy else shots,
-                         policy=policy, seed=seed)
-    return result.to_memory_result()
+    return _run_experiment("stability", patch, physical_error_rate, shots,
+                           rounds, noise, seed, engine, policy)
 
 
 def logical_error_rate_curve(
@@ -135,7 +105,7 @@ def logical_error_rate_curve(
     seed: Seed = None,
     engine: Optional[Engine] = None,
     policy: Optional[ShotPolicy] = None,
-) -> list[MemoryExperimentResult]:
+) -> list[LerResult]:
     """Sweep ``p`` and return one result per value (the Fig. 6 style curve).
 
     Point ``i`` draws from RNG child stream ``i`` of ``seed``
@@ -151,6 +121,5 @@ def logical_error_rate_curve(
         for p in physical_error_rates
     ]
     eng = engine if engine is not None else default_engine()
-    results = eng.run_ler_many(tasks, shots=None if policy else shots,
-                               policy=policy, seed=seed)
-    return [r.to_memory_result() for r in results]
+    return eng.run_ler_many(tasks, shots=None if policy else shots,
+                            policy=policy, seed=seed)

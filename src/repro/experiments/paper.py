@@ -27,12 +27,14 @@ Figure/table index
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.executor import Engine
+from ..engine.executor import Engine, default_engine
 from ..engine.rng import Seed, child_stream, spawn_streams
+from ..engine.tasks import YieldTask
 from ..chiplet.application import (
     ResourceEstimate,
     ShorWorkload,
@@ -42,11 +44,10 @@ from ..chiplet.application import (
 )
 from ..chiplet.boundary import STANDARD_1, STANDARD_2, STANDARD_3, STANDARD_4, merged_seam_distance
 from ..chiplet.overhead import OverheadPoint, OverheadStudy, defect_intolerant_overhead
-from ..chiplet.yield_model import YieldEstimator, defect_intolerant_yield
+from ..chiplet.yield_model import defect_intolerant_yield
 from ..core.adaptation import adapt_patch
 from ..core.metrics import evaluate_patch
 from ..core.postselection import (
-    DistanceCriterion,
     rank_by_chosen_indicators,
     rank_by_faulty_count,
     select_fraction,
@@ -131,7 +132,7 @@ def figure6_curves(
         results = logical_error_rate_curve(patch, physical_error_rates, shots,
                                            seed=streams[i], engine=engine)
         curves[f"defect-free d={d}"] = [
-            (r.physical_error_rate, r.logical_error_rate) for r in results
+            (r.task.physical_error_rate, r.logical_error_rate) for r in results
         ]
     model = DefectModel(LINK_AND_QUBIT, defect_rate)
     defective = sample_defective_patches(defective_size, model, num_defective,
@@ -143,7 +144,7 @@ def figure6_curves(
             patch, physical_error_rates, shots,
             seed=streams[len(defect_free_sizes) + 1 + i], engine=engine)
         curves[f"defective l={defective_size} d={metrics.distance} #{i}"] = [
-            (r.physical_error_rate, r.logical_error_rate) for r in results
+            (r.task.physical_error_rate, r.logical_error_rate) for r in results
         ]
     return curves
 
@@ -315,10 +316,9 @@ def figure15_boundary(
         "standard 3": STANDARD_3.with_target(target_distance),
         "standard 4": STANDARD_4.with_target(target_distance),
     }
-    criterion = DistanceCriterion(target_distance)
+    eng = engine or default_engine()
     out: Dict[str, List[Tuple[float, float]]] = {name: [] for name in standards}
     for i, rate in enumerate(defect_rates):
-        model = DefectModel(LINK_AND_QUBIT, rate)
         # Common random numbers: every standard judges the *same* sampled
         # chiplets at a given rate, so stricter standards have exactly lower
         # yield (a standard's accepted set is a subset of "no requirement").
@@ -326,11 +326,12 @@ def figure15_boundary(
         # and depended on string-hash randomisation between processes.
         cell = None if seed is None else child_stream(seed, i)
         for name, standard in standards.items():
-            estimator = YieldEstimator(
-                chiplet_size, model, criterion, boundary_standard=standard,
-                seed=cell,
-            )
-            result = estimator.run(samples, engine=engine)
+            task = YieldTask(
+                chiplet_size=int(chiplet_size),
+                defect_model_kind=LINK_AND_QUBIT, defect_rate=float(rate),
+                samples=samples, target_distance=target_distance,
+                boundary=None if standard is None else astuple(standard))
+            result = eng.run_yield(task, seed=cell)
             out[name].append((rate, result.yield_fraction))
     return out
 
@@ -345,19 +346,20 @@ def figure16_rotation(
     engine: Optional[Engine] = None,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Fig. 16: yield with and without the data/syndrome swap freedom."""
-    criterion = DistanceCriterion(target_distance)
+    eng = engine or default_engine()
     out: Dict[str, List[Tuple[float, float]]] = {}
     for size in chiplet_sizes:
         for allow_rotation in (False, True):
             label = f"l={size}" + (" (rotation)" if allow_rotation else "")
             series = []
             for rate in defect_rates:
-                model = DefectModel(LINK_AND_QUBIT, rate)
-                estimator = YieldEstimator(size, model, criterion,
-                                           allow_rotation=allow_rotation,
-                                           seed=seed)
-                series.append((rate, estimator.run(
-                    samples, engine=engine).yield_fraction))
+                task = YieldTask(
+                    chiplet_size=int(size), defect_model_kind=LINK_AND_QUBIT,
+                    defect_rate=float(rate), samples=samples,
+                    target_distance=target_distance,
+                    allow_rotation=allow_rotation)
+                series.append(
+                    (rate, eng.run_yield(task, seed=seed).yield_fraction))
             out[label] = series
     return out
 
@@ -403,10 +405,11 @@ def figure19_distance_distribution(
     Paper scale uses l = 33 at 0.1% and l = 39 at 0.3% with 10000 samples;
     the default here keeps the same defect-per-chiplet regime at l = 15.
     """
-    model = DefectModel(defect_model_kind, defect_rate)
-    estimator = YieldEstimator(chiplet_size, model,
-                               DistanceCriterion(target_distance), seed=seed)
-    result = estimator.run(samples, engine=engine)
+    task = YieldTask(
+        chiplet_size=int(chiplet_size), defect_model_kind=defect_model_kind,
+        defect_rate=float(defect_rate), samples=samples,
+        target_distance=target_distance)
+    result = (engine or default_engine()).run_yield(task, seed=seed)
     return result.distance_distribution()
 
 

@@ -100,12 +100,12 @@ def _sample_tasks():
     from ..engine.tasks import (
         CutoffCellTask,
         LerPointTask,
-        NoiseSpec,
         PatchSampleTask,
         YieldTask,
     )
+    from ..noise.circuit_noise import CircuitNoiseModel
 
-    noise = NoiseSpec(p=2e-3, bad_qubits=(((1, 1), 0.01),))
+    noise = CircuitNoiseModel(p=2e-3, bad_qubits=(((1, 1), 0.01),))
     ler = LerPointTask(
         experiment="memory", layout_kind="rotated", size=3,
         faulty_qubits=((1, 1),),

@@ -512,7 +512,5 @@ class TestEngineApi:
         engine = Engine(EngineConfig())
         result = engine.run_ler(d3_task(0.02), shots=300, seed=2)
         assert result.estimate == BinomialEstimate(result.failures, 300)
-        mem = result.to_memory_result()
-        assert mem.failures == result.failures
-        assert mem.shots == 300
-        assert mem.decoder == "mwpm"
+        assert result.shots == 300
+        assert result.task.decoder == "mwpm"

@@ -85,7 +85,7 @@ class TestStabilityAndCutoff:
         patch = adapt_patch(StabilityLayout(4), DefectSet.of())
         result = run_stability_experiment(patch, 0.01, shots=400, rounds=3, seed=0)
         assert 0.0 <= result.logical_error_rate <= 1.0
-        assert result.decoder == "mwpm"
+        assert result.task.decoder == "mwpm"
 
     def test_cutoff_study_structure(self):
         study = run_cutoff_study(

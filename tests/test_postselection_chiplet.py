@@ -7,7 +7,6 @@ from repro.chiplet import (
     ChipletDevice,
     STANDARD_1,
     STANDARD_4,
-    YieldEstimator,
     average_cost_per_logical_qubit,
     defect_intolerant_overhead,
     defect_intolerant_yield,
@@ -29,8 +28,16 @@ from repro.core import (
     reference_metrics,
     select_fraction,
 )
+from repro.engine import YieldTask, default_engine
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT, LINK_ONLY
 from repro.surface_code import RotatedSurfaceCodeLayout
+
+
+def run_yield(size, kind, rate, samples, target, seed):
+    task = YieldTask(chiplet_size=size, defect_model_kind=kind,
+                     defect_rate=rate, samples=samples,
+                     target_distance=target)
+    return default_engine().run_yield(task, seed=seed)
 
 
 class TestPostSelection:
@@ -124,15 +131,11 @@ class TestChiplet:
 
 class TestYieldAndOverhead:
     def test_zero_defect_rate_gives_full_yield(self):
-        estimator = YieldEstimator(5, DefectModel(LINK_ONLY, 0.0),
-                                   DistanceCriterion(5), seed=0)
-        assert estimator.run(20).yield_fraction == 1.0
+        assert run_yield(5, LINK_ONLY, 0.0, 20, 5, seed=0).yield_fraction == 1.0
 
     def test_yield_decreases_with_defect_rate(self):
-        low = YieldEstimator(7, DefectModel(LINK_AND_QUBIT, 0.002),
-                             DistanceCriterion(5), seed=0).run(60)
-        high = YieldEstimator(7, DefectModel(LINK_AND_QUBIT, 0.02),
-                              DistanceCriterion(5), seed=0).run(60)
+        low = run_yield(7, LINK_AND_QUBIT, 0.002, 60, 5, seed=0)
+        high = run_yield(7, LINK_AND_QUBIT, 0.02, 60, 5, seed=0)
         assert high.yield_fraction <= low.yield_fraction
 
     def test_defect_intolerant_yield_analytic(self):
@@ -167,9 +170,7 @@ class TestYieldAndOverhead:
             optimal_chiplet_size(points, 0.123)
 
     def test_distance_distribution_recorded(self):
-        estimator = YieldEstimator(7, DefectModel(LINK_AND_QUBIT, 0.01),
-                                   DistanceCriterion(5), seed=2)
-        result = estimator.run(40)
+        result = run_yield(7, LINK_AND_QUBIT, 0.01, 40, 5, seed=2)
         dist = result.distance_distribution()
         assert abs(sum(dist.values()) - 1.0) < 1e-9
 

@@ -79,6 +79,36 @@ def unionfind_bodies() -> list:
     return [ler, sweep]
 
 
+def out_of_range_bodies() -> list:
+    """(submission, error) pairs whose task field is outside its domain."""
+    def ler(noise=None, **fields):
+        body = ler_body()
+        body["task"].update(fields)
+        body["task"]["noise"].update(noise or {})
+        return body
+
+    def sweep(noise):
+        body = sweep_body()
+        body["tasks"][1]["noise"].update(noise)
+        return body
+
+    def yld(**fields):
+        return {"kind": "yield", "seed": 3,
+                "task": {**yield_task().payload(), **fields}}
+
+    return [
+        (ler(noise={"p": 5.0}), r"p=5.0 outside \[0, 1\]"),
+        (ler(noise={"readout_factor": -1}), "readout_factor must be non-neg"),
+        (sweep({"p": 5.0}), r"p=5.0 outside \[0, 1\]"),
+        (sweep({"readout_factor": -1}), "readout_factor must be non-neg"),
+        (ler(size=0), "width must be at least 2"),
+        (ler(size=-2), "width must be at least 2"),
+        (ler(physical_error_rate=7.0), r"p=7.0 outside \[0, 1\]"),
+        (yld(chiplet_size=0), "width must be at least 2"),
+        (yld(defect_rate=3.0), r"defect rate 3.0 outside \[0, 1\]"),
+    ]
+
+
 class Clock:
     """An injectable clock so lease tests never sleep."""
 
@@ -130,6 +160,7 @@ class TestSpecs:
          "shard_size"),
         ("not an object", "JSON object"),
         *[(body, "unknown decoder 'unionfind'") for body in unionfind_bodies()],
+        *out_of_range_bodies(),
     ])
     def test_malformed_submissions_fail_at_the_boundary(self, body, match):
         with pytest.raises(ValueError, match=match):
@@ -601,6 +632,9 @@ class TestHttpService:
         for body in unionfind_bodies():
             with pytest.raises(SystemExit,
                                match=r"unknown decoder 'unionfind'.*\(400\)"):
+                client.request("POST", "/jobs", body)
+        for body, match in out_of_range_bodies():
+            with pytest.raises(SystemExit, match=rf"{match}.*\(400\)"):
                 client.request("POST", "/jobs", body)
         stats = client.request("GET", "/stats")
         assert stats["states"]["cancelled"] == 1

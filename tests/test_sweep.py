@@ -3,22 +3,18 @@
 The sweep scheduler's contract is that interleaving is *invisible* in the
 numbers: ``run_ler_many`` / ``run_sweep`` must be bit-identical to running
 every item alone, for any worker count, any policy mix, and any cache
-warm/cold permutation.  Same for ``YieldEstimator`` runs, which always
-execute as a frozen ``YieldTask`` through ``Engine.run_yield`` — with or
-without an explicit engine — and reject criterion, defect-model and boundary
-types the spec cannot represent.
+warm/cold permutation.  Same for yield runs, which always execute as a
+frozen ``YieldTask`` through ``Engine.run_yield`` — on an explicit engine,
+on the default engine or from a figure entry point.
 """
+
+from dataclasses import astuple
 
 import pytest
 
-from repro.chiplet import YieldEstimator
-from repro.chiplet.boundary import STANDARD_3, BoundaryStandard
+from repro.chiplet.boundary import STANDARD_3
 from repro.core import adapt_patch
-from repro.core.postselection import (
-    DefectFreeCriterion,
-    DistanceCriterion,
-    PostSelectionCriterion,
-)
+from repro.core.postselection import DefectFreeCriterion
 from repro.engine import (
     Engine,
     EngineConfig,
@@ -32,7 +28,7 @@ from repro.engine import (
 )
 from repro.engine.executor import _run_ler_shard
 from repro.experiments.paper import figure12_yield
-from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT, LINK_ONLY
+from repro.noise import DefectSet, LINK_AND_QUBIT, LINK_ONLY
 from repro.surface_code import RotatedSurfaceCodeLayout
 
 WORKER_COUNTS = (1, 2, 4)
@@ -217,10 +213,10 @@ class TestWorkerTaskMemo:
 # ----------------------------------------------------------------------
 # Engine-routed yield estimation
 # ----------------------------------------------------------------------
-def yield_estimator(seed=11, criterion=None, boundary=None):
-    return YieldEstimator(7, DefectModel(LINK_AND_QUBIT, 0.01),
-                          criterion or DistanceCriterion(5),
-                          boundary_standard=boundary, seed=seed)
+def yield_task(samples, **overrides):
+    fields = dict(chiplet_size=7, defect_model_kind=LINK_AND_QUBIT,
+                  defect_rate=0.01, samples=samples, target_distance=5)
+    return YieldTask(**{**fields, **overrides})
 
 
 def yield_tuple(r):
@@ -228,85 +224,37 @@ def yield_tuple(r):
             r.accepted_distance_counts)
 
 
-class AlwaysAccept(PostSelectionCriterion):
-    def accepts(self, metrics):
-        return True
-
-
-class CorrelatedDefects(DefectModel):
-    pass
-
-
-class LenientStandard(BoundaryStandard):
-    pass
-
-
 class TestYieldEngineRouting:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_invariant(self, workers):
         engine = Engine(EngineConfig(max_workers=workers))
-        got = yield_estimator().run(60, engine=engine)
-        ref = yield_estimator().run(60, engine=Engine(EngineConfig()))
+        got = engine.run_yield(yield_task(60), seed=11)
+        ref = Engine(EngineConfig()).run_yield(yield_task(60), seed=11)
         assert yield_tuple(got) == yield_tuple(ref)
 
-    def test_estimator_run_matches_hand_built_task(self):
-        """``run`` is exactly ``Engine.run_yield`` on the mirrored spec."""
-        est = yield_estimator()
-        hand = YieldTask(chiplet_size=7, defect_model_kind=LINK_AND_QUBIT,
-                         defect_rate=0.01, samples=60, target_distance=5)
-        assert YieldTask.from_estimator(est, 60) == hand
-        routed = est.run(60, engine=Engine(EngineConfig(max_workers=2)))
-        ref = Engine(EngineConfig(backend="serial")).run_yield(hand, seed=11)
-        assert yield_tuple(routed) == yield_tuple(ref)
-
-    def test_boundary_standard_and_defect_free_are_representable(self):
-        engine = Engine(EngineConfig())
+    def test_boundary_standard_and_defect_free_round_trip(self):
         std = STANDARD_3.with_target(5)
-        est = yield_estimator(boundary=std)
-        task = YieldTask.from_estimator(est, 40)
+        task = yield_task(40, boundary=astuple(std))
         assert task.boundary == ("standard-3", False, True, 5)
         assert task.boundary_standard() == std
-        assert task.criterion() == est.criterion
-        hand = YieldTask(chiplet_size=7, defect_model_kind=LINK_AND_QUBIT,
-                         defect_rate=0.01, samples=40, target_distance=5,
-                         boundary=("standard-3", False, True, 5))
-        assert task == hand
-        got = est.run(40, engine=engine)
-        ref = Engine(EngineConfig(backend="serial")).run_yield(hand, seed=11)
+        got = Engine(EngineConfig(max_workers=2)).run_yield(task, seed=11)
+        ref = Engine(EngineConfig(backend="serial")).run_yield(task, seed=11)
         assert yield_tuple(got) == yield_tuple(ref)
 
-        free = yield_estimator(criterion=DefectFreeCriterion())
-        free_task = YieldTask.from_estimator(free, 40)
-        assert free_task.criterion_kind == "defect_free"
-        assert free_task.criterion() == DefectFreeCriterion()
-
-    @pytest.mark.parametrize("role, make", [
-        ("criterion", lambda: yield_estimator(criterion=AlwaysAccept())),
-        ("defect model", lambda: YieldEstimator(
-            7, CorrelatedDefects(LINK_AND_QUBIT, 0.01), DistanceCriterion(5),
-            seed=3)),
-        ("boundary standard", lambda: yield_estimator(
-            boundary=LenientStandard("lenient", False, False, 5))),
-    ], ids=["criterion", "defect model", "boundary standard"])
-    def test_unrepresentable_types_raise_named_type_error(self, role, make):
-        est = make()
-        odd = {"criterion": est.criterion, "defect model": est.defect_model,
-               "boundary standard": est.boundary_standard}[role]
-        match = f"{role} of type '{type(odd).__qualname__}'"
-        with pytest.raises(TypeError, match=match):
-            YieldTask.from_estimator(est, 20)
-        with pytest.raises(TypeError, match=match):
-            est.run(20, engine=Engine(EngineConfig(backend="serial")))
+        free = yield_task(40, criterion_kind="defect_free",
+                          target_distance=None)
+        assert free.criterion() == DefectFreeCriterion()
 
     def test_seeded_runs_are_engine_config_invariant(self, tmp_path):
-        """No engine, a process pool and a cached default engine all give
-        the same counts, at the estimator and at a figure entry point."""
+        """A serial, a process-pool and a cached default engine all give
+        the same counts, for a direct run and at a figure entry point."""
         def runs():
-            est = yield_estimator()
+            task = yield_task(40)
             fig = figure12_yield(target_distance=5, chiplet_sizes=(5, 7),
                                  defect_rates=(0.01, 0.02), samples=30,
                                  seed=4)
-            return (yield_tuple(est.run(40)), yield_tuple(est.run(40)),
+            return (yield_tuple(default_engine().run_yield(task, seed=11)),
+                    yield_tuple(default_engine().run_yield(task, seed=11)),
                     [p.yield_fraction for p in fig["super-stabilizer"]])
 
         pool = Engine(EngineConfig(max_workers=2))
@@ -322,13 +270,13 @@ class TestYieldEngineRouting:
             set_default_engine(previous)
         assert plain[0] == plain[1]  # repeated runs do not advance a stream
         assert plain == pooled == cold == warm
-        assert yield_tuple(yield_estimator().run(40, engine=pool)) == plain[0]
-        assert len(ResultCache(tmp_path)) == 5  # 1 estimator + 4 figure cells
+        assert yield_tuple(pool.run_yield(yield_task(40), seed=11)) == plain[0]
+        assert len(ResultCache(tmp_path)) == 5  # 1 direct run + 4 figure cells
 
     def test_cache_cold_then_warm(self, tmp_path):
         engine = Engine(EngineConfig(cache_dir=str(tmp_path)))
-        cold = yield_estimator().run(50, engine=engine)
-        warm = yield_estimator().run(50, engine=engine)
+        cold = engine.run_yield(yield_task(50), seed=11)
+        warm = engine.run_yield(yield_task(50), seed=11)
         assert not cold.from_cache
         assert warm.from_cache
         assert yield_tuple(cold) == yield_tuple(warm)
@@ -336,7 +284,7 @@ class TestYieldEngineRouting:
 
     def test_unseeded_yield_runs_are_never_cached(self, tmp_path):
         engine = Engine(EngineConfig(cache_dir=str(tmp_path)))
-        result = yield_estimator(seed=None).run(20, engine=engine)
+        result = engine.run_yield(yield_task(20), seed=None)
         assert result.samples == 20
         assert len(ResultCache(tmp_path)) == 0
 
