@@ -165,7 +165,7 @@ class LerPointTask(TaskSpec):
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
         # The domain types check width and rate.
-        RotatedSurfaceCodeLayout(self.size)
+        self.layout()
         CircuitNoiseModel.standard(self.physical_error_rate)
 
     # ------------------------------------------------------------------

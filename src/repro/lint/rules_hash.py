@@ -107,14 +107,14 @@ def _sample_tasks():
 
     noise = CircuitNoiseModel(p=2e-3, bad_qubits=(((1, 1), 0.01),))
     ler = LerPointTask(
-        experiment="memory", layout_kind="rotated", size=3,
+        experiment="memory", layout_kind="rotated", size=4,
         faulty_qubits=((1, 1),),
         faulty_links=(((0, 0), (0, 1)),),
         physical_error_rate=2e-3, rounds=3, noise=noise,
         rng_mode="exact",
     )
     cutoff = CutoffCellTask(
-        experiment="memory", layout_kind="rotated", size=3,
+        experiment="memory", layout_kind="rotated", size=4,
         faulty_qubits=((1, 1),), faulty_links=(((0, 0), (0, 1)),),
         physical_error_rate=2e-3, rounds=3, noise=noise,
         rng_mode="exact",

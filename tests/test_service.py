@@ -103,6 +103,7 @@ def out_of_range_bodies() -> list:
         (sweep({"readout_factor": -1}), "readout_factor must be non-neg"),
         (ler(size=0), "width must be at least 2"),
         (ler(size=-2), "width must be at least 2"),
+        (ler(layout_kind="stability", size=3), "requires an even width"),
         (ler(physical_error_rate=7.0), r"p=7.0 outside \[0, 1\]"),
         (yld(chiplet_size=0), "width must be at least 2"),
         (yld(defect_rate=3.0), r"defect rate 3.0 outside \[0, 1\]"),
