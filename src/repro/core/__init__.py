@@ -9,7 +9,7 @@ from .metrics import (
     evaluate_patch,
     num_shortest_logicals,
 )
-from .patch import AdaptedPatch, GaugeOperator, StabilizerUnit, SuperStabilizer
+from .patch import AdaptedPatch, GaugeOperator, SuperStabilizer
 from .postselection import (
     DefectFreeCriterion,
     DistanceCriterion,
@@ -39,6 +39,5 @@ __all__ = [
     "num_shortest_logicals",
     "AdaptedPatch",
     "GaugeOperator",
-    "StabilizerUnit",
     "SuperStabilizer",
 ]

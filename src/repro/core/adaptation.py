@@ -75,8 +75,6 @@ from .patch import AdaptedPatch, GaugeOperator, SuperStabilizer
 __all__ = ["adapt_patch", "cluster_diameter", "defect_clusters"]
 
 _MAX_ITERATIONS = 400
-#: largest chiplet width for which the encoded-qubit-count check runs inline.
-_ENCODING_CHECK_MAX_SIZE = 23
 
 
 # ----------------------------------------------------------------------

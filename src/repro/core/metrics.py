@@ -25,10 +25,13 @@ disabled qubits, and the raw number of faulty qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..noise.fabrication import DefectSet
 from ..surface_code.layout import Coord, plaquette_kind
-from .adaptation import cluster_diameter, defect_clusters
+from .adaptation import adapt_patch, cluster_diameter
 from .patch import AdaptedPatch
 
 __all__ = [
@@ -36,6 +39,7 @@ __all__ = [
     "PatchMetrics",
     "build_chain_graph",
     "code_distance",
+    "defect_free_metrics",
     "num_shortest_logicals",
     "evaluate_patch",
 ]
@@ -61,30 +65,40 @@ class ChainGraph:
 
     def shortest_path_length(self) -> Optional[int]:
         """Length of the shortest boundary-to-boundary path (the code distance)."""
-        dist = self._bfs_distances()
-        return dist.get(_BOUNDARY_B)
+        return self.shortest_paths()[0]
 
     def shortest_path_count(self) -> int:
         """Number of shortest boundary-to-boundary paths, with multiplicity."""
-        return self._count_shortest(self._bfs_distances())
+        return self.shortest_paths()[1]
 
     def shortest_paths(self) -> Tuple[Optional[int], int]:
-        """``(shortest_path_length(), shortest_path_count())`` from one BFS."""
-        dist = self._bfs_distances()
-        return dist.get(_BOUNDARY_B), self._count_shortest(dist)
+        """Shortest boundary-to-boundary path length and path count, from one BFS.
 
-    def _count_shortest(self, dist: Dict[object, int]) -> int:
+        The length is ``None`` (and the count 0) when no path exists.  Paths
+        are counted with edge multiplicity, level by level; the search stops
+        after the level that reaches boundary B.
+        """
+        dist = {_BOUNDARY_A: 0}
+        counts = {_BOUNDARY_A: 1}
+        frontier = [_BOUNDARY_A]
+        depth = 0
+        while frontier and _BOUNDARY_B not in dist:
+            depth += 1
+            nxt = []
+            for node in frontier:
+                paths = counts[node]
+                for nb, qubits in self.adjacency.get(node, {}).items():
+                    seen = dist.get(nb)
+                    if seen is None:
+                        dist[nb] = depth
+                        counts[nb] = paths * len(qubits)
+                        nxt.append(nb)
+                    elif seen == depth:
+                        counts[nb] += paths * len(qubits)
+            frontier = nxt
         if _BOUNDARY_B not in dist:
-            return 0
-        counts: Dict[object, int] = {_BOUNDARY_A: 1}
-        # BFS fills ``dist`` in non-decreasing distance order.
-        for node, depth in dist.items():
-            if node not in counts:
-                continue
-            for nb, qubits in self.adjacency.get(node, {}).items():
-                if dist.get(nb) == depth + 1:
-                    counts[nb] = counts.get(nb, 0) + counts[node] * len(qubits)
-        return counts.get(_BOUNDARY_B, 0)
+            return None, 0
+        return depth, counts[_BOUNDARY_B]
 
     def shortest_path_qubits(self, avoid: Set[Coord] = frozenset()) -> Optional[List[Coord]]:
         """Data qubits of one shortest boundary-to-boundary chain.
@@ -126,45 +140,50 @@ class ChainGraph:
         return dist
 
 
-def _void_components(
-    patch: AdaptedPatch, occupied: Set[Coord]
-) -> Tuple[Dict[Coord, int], Dict[int, Dict[str, bool]]]:
-    """Connected components of candidate plaquette positions with no reliable check.
+@lru_cache(maxsize=None)
+def _diagonal_plaquettes(size: int) -> Dict[str, Dict[Coord, Tuple[Coord, ...]]]:
+    """Per check kind, the diagonal plaquettes of every data qubit of a width.
 
-    Returns a map position -> component id and, per component, which patch
-    sides (top/bottom/left/right exteriors) it touches.
+    Positions keep the ``(dx, dy)`` scan order of :func:`build_chain_graph`;
+    all four lie inside the candidate box of either layout kind.
     """
-    layout = patch.layout
-    l = layout.size
-    void = [pos for pos in layout.candidate_plaquettes() if pos not in occupied]
-    void_set = set(void)
-    comp_of: Dict[Coord, int] = {}
-    touches: Dict[int, Dict[str, bool]] = {}
-    comp_id = 0
-    for start in void:
-        if start in comp_of:
-            continue
-        stack = [start]
-        comp_of[start] = comp_id
-        info = {"top": False, "bottom": False, "left": False, "right": False}
-        while stack:
-            x, y = stack.pop()
-            if y == 0:
-                info["top"] = True
-            if y == 2 * l:
-                info["bottom"] = True
-            if x == 0:
-                info["left"] = True
-            if x == 2 * l:
-                info["right"] = True
-            for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2)):
-                nb = (x + dx, y + dy)
-                if nb in void_set and nb not in comp_of:
-                    comp_of[nb] = comp_id
-                    stack.append(nb)
-        touches[comp_id] = info
-        comp_id += 1
-    return comp_of, touches
+    table: Dict[str, Dict[Coord, Tuple[Coord, ...]]] = {"X": {}, "Z": {}}
+    for x in range(1, 2 * size, 2):
+        for y in range(1, 2 * size, 2):
+            diagonal = ((x - 1, y - 1), (x - 1, y + 1), (x + 1, y - 1), (x + 1, y + 1))
+            for kind, row in table.items():
+                row[(x, y)] = tuple(p for p in diagonal if plaquette_kind(p) == kind)
+    return table
+
+
+def _void_sides(start: Coord, occupied: Set[Coord], top: int, axis: int,
+                sides_of: Dict[Coord, Tuple[bool, bool]]) -> Tuple[bool, bool]:
+    """Whether the void component of ``start`` reaches coordinate 0 / ``top`` along ``axis``.
+
+    The void is every candidate plaquette position without a reliable check
+    of the detecting kind (``occupied`` holds their ancillas); components
+    connect through edge-adjacent positions.  The answer is stored in
+    ``sides_of`` for every position of the component.
+    """
+    seen = {start}
+    stack = [start]
+    near = far = False
+    while stack:
+        pos = stack.pop()
+        if pos[axis] == 0:
+            near = True
+        elif pos[axis] == top:
+            far = True
+        x, y = pos
+        for nb in ((x + 2, y), (x - 2, y), (x, y + 2), (x, y - 2)):
+            if (0 <= nb[0] <= top and 0 <= nb[1] <= top
+                    and nb not in occupied and nb not in seen):
+                seen.add(nb)
+                stack.append(nb)
+    sides = (near, far)
+    for pos in seen:
+        sides_of[pos] = sides
+    return sides
 
 
 def build_chain_graph(patch: AdaptedPatch, error_type: str = "X") -> ChainGraph:
@@ -172,77 +191,64 @@ def build_chain_graph(patch: AdaptedPatch, error_type: str = "X") -> ChainGraph:
 
     X errors are detected by Z checks and terminate on the ``y`` boundaries;
     Z errors are detected by X checks and terminate on the ``x`` boundaries.
+    Check nodes are ``("u", i)``, numbering the detecting kind's regular
+    stabilizers and then its super-stabilizers in patch order.
     """
     if error_type not in ("X", "Z"):
         raise ValueError("error_type must be 'X' or 'Z'")
     detecting_kind = "Z" if error_type == "X" else "X"
-    units = patch.units(detecting_kind)
-    layout = patch.layout
-    l = layout.size
+    l = patch.layout.size
+    top = 2 * l
+    axis = 1 if error_type == "X" else 0
 
-    # Map data qubit -> unit indices whose product support contains it.
-    membership: Dict[Coord, List[int]] = {}
-    for idx, unit in enumerate(units):
-        for d in unit.support:
-            membership.setdefault(d, []).append(idx)
-
+    # Map data qubit -> check nodes whose (product) support contains it.
+    membership: Dict[Coord, List[object]] = {}
     occupied: Set[Coord] = set()
-    for unit in units:
-        occupied.update(unit.ancillas)
-    comp_of, touches = _void_components(patch, occupied)
+    units = [(c.data, (c.ancilla,)) for c in patch.stabilizers
+             if c.kind == detecting_kind]
+    units += [(ss.product_support, [g.ancilla for g in ss.gauges])
+              for ss in patch.super_stabilizers if ss.kind == detecting_kind]
+    for idx, (support, ancillas) in enumerate(units):
+        node = ("u", idx)
+        for d in support:
+            members = membership.get(d)
+            if members is None:
+                membership[d] = [node]
+            else:
+                members.append(node)
+        occupied.update(ancillas)
 
     adjacency: Dict[object, Dict[object, List[Coord]]] = {}
 
     def add_edge(u: object, v: object, qubit: Coord) -> None:
-        if u == v:
-            return
         adjacency.setdefault(u, {}).setdefault(v, []).append(qubit)
         adjacency.setdefault(v, {}).setdefault(u, []).append(qubit)
 
-    def boundary_label(position: Coord, qubit: Coord) -> Optional[object]:
-        comp = comp_of.get(position)
-        if comp is None:
-            return None
-        info = touches[comp]
-        if error_type == "X":
-            near, far, axis_value = "top", "bottom", qubit[1]
-        else:
-            near, far, axis_value = "left", "right", qubit[0]
-        if not (info[near] or info[far]):
-            return None
-        if info[near] and info[far]:
-            return _BOUNDARY_A if axis_value < l else _BOUNDARY_B
-        return _BOUNDARY_A if info[near] else _BOUNDARY_B
-
+    diagonals = _diagonal_plaquettes(l)[detecting_kind]
+    sides_of: Dict[Coord, Tuple[bool, bool]] = {}
     for qubit in patch.active_data:
-        members = membership.get(qubit, [])
+        members = membership.get(qubit, ())
         if len(members) >= 2:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    add_edge(("u", members[i]), ("u", members[j]), qubit)
+            for u, v in combinations(members, 2):
+                add_edge(u, v, qubit)
             continue
         # Fewer than two reliable checks: look at the missing check positions.
-        x, y = qubit
-        member_ancillas = set()
-        for m in members:
-            member_ancillas.update(units[m].ancillas)
         labels: Set[object] = set()
-        for dx in (-1, 1):
-            for dy in (-1, 1):
-                pos = (x + dx, y + dy)
-                if not (0 <= pos[0] <= 2 * l and 0 <= pos[1] <= 2 * l):
-                    continue
-                if plaquette_kind(pos) != detecting_kind:
-                    continue
-                if pos in member_ancillas:
-                    continue
-                label = boundary_label(pos, qubit)
-                if label is not None:
-                    labels.add(label)
+        for pos in diagonals[qubit]:
+            if pos in occupied:
+                continue
+            near, far = sides_of.get(pos) or _void_sides(
+                pos, occupied, top, axis, sides_of)
+            if near and far:
+                labels.add(_BOUNDARY_A if qubit[axis] < l else _BOUNDARY_B)
+            elif near:
+                labels.add(_BOUNDARY_A)
+            elif far:
+                labels.add(_BOUNDARY_B)
         if len(members) == 1:
             for label in labels:
-                add_edge(("u", members[0]), label, qubit)
-        elif len(members) == 0 and len(labels) == 2:
+                add_edge(members[0], label, qubit)
+        elif len(labels) == 2:
             add_edge(_BOUNDARY_A, _BOUNDARY_B, qubit)
 
     adjacency.setdefault(_BOUNDARY_A, {})
@@ -301,22 +307,32 @@ class PatchMetrics:
 
 def evaluate_patch(patch: AdaptedPatch) -> PatchMetrics:
     """Compute every figure of merit for one adapted patch."""
-    if not patch.valid:
-        return PatchMetrics(
-            distance_x=0, distance_z=0, num_shortest_x=0, num_shortest_z=0,
-            num_faulty_qubits=patch.defects.num_faulty_qubits,
-            num_faulty_links=patch.defects.num_faulty_links,
-            num_disabled_data=len(patch.disabled_data),
-            disabled_data_fraction=patch.disabled_data_fraction(),
-            largest_cluster_diameter=0.0,
-            valid=False,
-        )
-    dx, count_x = build_chain_graph(patch, "X").shortest_paths()
-    dz, count_z = build_chain_graph(patch, "Z").shortest_paths()
+    if patch.valid and patch.defects.is_empty():
+        return defect_free_metrics(type(patch.layout), patch.layout.size)
+    return _measure(patch)
+
+
+@lru_cache(maxsize=None)
+def defect_free_metrics(layout_type: type, size: int) -> PatchMetrics:
+    """Metrics of the defect-free patch of one layout type and width.
+
+    Adaptation is deterministic, so every valid defect-free patch of that
+    type and width measures the same; :func:`evaluate_patch` answers those
+    from this memo.
+    """
+    return _measure(adapt_patch(layout_type(size), DefectSet.of()))
+
+
+def _measure(patch: AdaptedPatch) -> PatchMetrics:
+    """Every figure of merit; an invalid patch gets zero distances."""
+    dx = dz = count_x = count_z = 0
+    largest = 0.0
+    if patch.valid:
+        dx, count_x = build_chain_graph(patch, "X").shortest_paths()
+        dz, count_z = build_chain_graph(patch, "Z").shortest_paths()
+        largest = _largest_cluster_diameter(
+            set(patch.disabled_data) | set(patch.disabled_ancillas))
     dx, dz = dx or 0, dz or 0
-    disabled_sites = set(patch.disabled_data) | set(patch.disabled_ancillas)
-    clusters = defect_clusters(disabled_sites)
-    largest = max((cluster_diameter(c) for c in clusters), default=0.0)
     return PatchMetrics(
         distance_x=int(dx),
         distance_z=int(dz),
@@ -326,6 +342,35 @@ def evaluate_patch(patch: AdaptedPatch) -> PatchMetrics:
         num_faulty_links=patch.defects.num_faulty_links,
         num_disabled_data=len(patch.disabled_data),
         disabled_data_fraction=patch.disabled_data_fraction(),
-        largest_cluster_diameter=float(largest),
+        largest_cluster_diameter=largest,
         valid=bool(dx > 0 and dz > 0),
     )
+
+
+#: Offsets within Chebyshev distance 2, the reach of :func:`defect_clusters`.
+_CLUSTER_BOX = tuple((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                     if dx or dy)
+
+
+def _largest_cluster_diameter(sites: Set[Coord]) -> float:
+    """Largest :func:`cluster_diameter` over the :func:`defect_clusters` of ``sites``.
+
+    Which sites form a cluster does not depend on the order clusters are
+    found in, so this flood fill skips the order-pinned scan of
+    :func:`defect_clusters`.
+    """
+    seen: Set[Coord] = set()
+    largest = 0.0
+    for start in sites:
+        if start in seen:
+            continue
+        seen.add(start)
+        cluster = [start]
+        for x, y in cluster:  # grows while it is read: a breadth-first fill
+            for dx, dy in _CLUSTER_BOX:
+                nb = (x + dx, y + dy)
+                if nb in sites and nb not in seen:
+                    seen.add(nb)
+                    cluster.append(nb)
+        largest = max(largest, cluster_diameter(cluster))
+    return largest

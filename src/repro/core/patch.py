@@ -13,10 +13,9 @@ The adaptation algorithm (:mod:`repro.core.adaptation`) outputs an
 * the repetition count of the measurement schedule per cluster (XZXZ... for
   small clusters, XX..ZZ.. for large clusters, following Sec. 3).
 
-It also exposes the derived views required downstream: the "Z units" and
-"X units" used for distance computations (a unit is either an intact/deformed
-stabilizer or a super-stabilizer product), and validation routines that check
-the stabilizer-commutation and encoded-qubit-count invariants.
+It also exposes the derived views required downstream (active qubits, gauge
+operators, Pauli forms of the checks) and validation routines that check the
+stabilizer-commutation and encoded-qubit-count invariants.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from ..noise.fabrication import DefectSet
 from ..stabilizer.pauli import PauliString
 from ..surface_code.layout import Check, Coord, RotatedSurfaceCodeLayout
 
-__all__ = ["GaugeOperator", "SuperStabilizer", "StabilizerUnit", "AdaptedPatch"]
+__all__ = ["GaugeOperator", "SuperStabilizer", "AdaptedPatch"]
 
 
 @dataclass(frozen=True)
@@ -67,30 +66,6 @@ class SuperStabilizer:
     @property
     def num_gauges(self) -> int:
         return len(self.gauges)
-
-    def membership_parity(self, data_qubit: Coord) -> int:
-        """How many of this super-stabilizer's gauges contain the qubit, mod 2."""
-        return sum(1 for g in self.gauges if data_qubit in g.data) % 2
-
-
-@dataclass(frozen=True)
-class StabilizerUnit:
-    """A reliably-inferable parity check of the adapted code.
-
-    Either a regular stabilizer (one check, measured every round) or a
-    super-stabilizer product.  Used as a graph node by the distance and
-    logical-operator-counting metrics.
-    """
-
-    kind: str
-    support: Tuple[Coord, ...]
-    ancillas: Tuple[Coord, ...]
-    is_super: bool
-    cluster_id: Optional[int] = None
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
 
 
 @dataclass
@@ -128,42 +103,9 @@ class AdaptedPatch:
     def num_disabled_data(self) -> int:
         return len(self.disabled_data)
 
-    @property
-    def num_disabled_qubits(self) -> int:
-        return len(self.disabled_data) + len(self.disabled_ancillas)
-
-    @property
-    def is_defect_free(self) -> bool:
-        return self.defects.is_empty()
-
     def disabled_data_fraction(self) -> float:
         """Proportion of data qubits disabled (Fig. 8 x-axis)."""
         return len(self.disabled_data) / self.layout.num_data_qubits
-
-    # ------------------------------------------------------------------
-    # Stabilizer units used by the metrics
-    # ------------------------------------------------------------------
-    def units(self, kind: str) -> List[StabilizerUnit]:
-        """All reliably-inferable parity checks of a given type ('X' or 'Z')."""
-        if kind not in ("X", "Z"):
-            raise ValueError("kind must be 'X' or 'Z'")
-        out: List[StabilizerUnit] = []
-        for check in self.stabilizers:
-            if check.kind == kind:
-                out.append(StabilizerUnit(kind=kind, support=tuple(check.data),
-                                          ancillas=(check.ancilla,), is_super=False))
-        for ss in self.super_stabilizers:
-            if ss.kind == kind:
-                out.append(StabilizerUnit(kind=kind, support=ss.product_support,
-                                          ancillas=tuple(g.ancilla for g in ss.gauges),
-                                          is_super=True, cluster_id=ss.cluster_id))
-        return out
-
-    def z_units(self) -> List[StabilizerUnit]:
-        return self.units("Z")
-
-    def x_units(self) -> List[StabilizerUnit]:
-        return self.units("X")
 
     # ------------------------------------------------------------------
     # Pauli views (for invariant checking)

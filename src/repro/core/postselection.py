@@ -21,13 +21,10 @@ the Fig. 11 study: "keep the best fraction q of chiplets").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence
 
-from ..noise.fabrication import DefectSet
 from ..surface_code.layout import RotatedSurfaceCodeLayout
-from .adaptation import adapt_patch
-from .metrics import PatchMetrics, evaluate_patch
+from .metrics import PatchMetrics, defect_free_metrics
 
 __all__ = [
     "reference_metrics",
@@ -40,11 +37,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def reference_metrics(distance: int) -> PatchMetrics:
     """Metrics of the defect-free rotated surface code of a given distance."""
-    layout = RotatedSurfaceCodeLayout(distance)
-    return evaluate_patch(adapt_patch(layout, DefectSet.of()))
+    return defect_free_metrics(RotatedSurfaceCodeLayout, distance)
 
 
 class PostSelectionCriterion:

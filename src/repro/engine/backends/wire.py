@@ -4,10 +4,11 @@ One tiny, symmetric wire format shared by :class:`SocketBackend` (client
 side) and ``python -m repro.engine.worker`` (server side), so the two can
 never drift apart:
 
-* on connect both ends exchange :data:`MAGIC` (protocol + version tag) —
-  a client talking to the wrong port, or to a worker from an incompatible
-  revision, fails immediately with a clear error instead of a pickle
-  traceback;
+* on connect both ends send :func:`magic` (the protocol tag plus a digest
+  of the ``repro`` sources) before reading the peer's — a client talking to
+  the wrong port, or to a worker from another revision (whose pickled task
+  classes may differ), fails immediately with a clear error instead of
+  failing every shard later;
 * every message is a length-prefixed pickle: 8 network-order bytes of
   payload length, then the pickled object.  Requests are
   ``("call", fn, args)`` tuples (``fn`` pickled by reference, so the worker
@@ -31,25 +32,25 @@ is constructed.  This is defence in depth, not a sandbox: the legitimate
 protocol already executes the functions it names, so the allowlist merely
 pins what a message can name to the surface the protocol actually uses,
 turning a whole class of pickle gadgets into immediate, logged rejections.
-The bytes on the wire are unchanged — framing, magic and the pickle
-payloads are byte-identical to previous revisions; only the *reader*
-became pickier.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import pickle
 import socket
 import struct
+from functools import lru_cache
+from pathlib import Path
 
 from ...env import env_str
 
-__all__ = ["MAGIC", "send_msg", "recv_msg", "handshake", "ProtocolError",
+__all__ = ["magic", "send_msg", "recv_msg", "handshake", "ProtocolError",
            "restricted_loads"]
 
-#: Protocol tag exchanged on connect; bump the digit on breaking changes.
-MAGIC = b"REPRO-WORKER-1\n"
+#: Root of the ``repro`` package whose sources the handshake tag digests.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[2]
 
 _HEADER = struct.Struct(">Q")
 
@@ -60,6 +61,21 @@ MAX_MESSAGE_BYTES = 1 << 30
 
 class ProtocolError(ConnectionError):
     """The peer is not a compatible repro worker (bad magic / bad frame)."""
+
+
+@lru_cache(maxsize=None)
+def magic() -> bytes:
+    """Tag both ends send on connect: protocol version and source digest.
+
+    The digest covers every ``.py`` file of the ``repro`` package (relative
+    path and bytes, in path order), so only peers running the same sources
+    shake hands.  Computed once per process, on first use.
+    """
+    h = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return b"REPRO-WORKER-2 " + h.hexdigest()[:32].encode() + b"\n"
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +194,21 @@ def recv_msg(sock: socket.socket):
 
 
 def handshake(sock: socket.socket) -> None:
-    """Exchange magic tags (both directions); raise on any mismatch."""
-    sock.sendall(MAGIC)
-    peer = _recv_exact(sock, len(MAGIC))
-    if peer != MAGIC:
+    """Send our tag, then read and check the peer's; raise on any mismatch.
+
+    Both ends run this.  A peer that closes the connection instead of
+    sending its tag is refused too: a worker from a revision older than
+    the source-digest tag reads our tag, finds it foreign and hangs up.
+    """
+    tag = magic()
+    sock.sendall(tag)
+    try:
+        peer = _recv_exact(sock, len(tag))
+    except ConnectionError as exc:
         raise ProtocolError(
-            f"peer is not a compatible repro worker (got {peer!r})"
+            "peer closed the connection during the handshake "
+            "(a repro worker from another revision?)") from exc
+    if peer != tag:
+        raise ProtocolError(
+            f"peer is not a repro worker of this revision (got {peer!r})"
         )

@@ -47,7 +47,7 @@ from ..noise.circuit_noise import CircuitNoiseModel
 from ..noise.fabrication import DefectModel, DefectSet
 from ..stabilizer.packed import RNG_MODES
 from ..surface_code.circuits import build_memory_circuit, build_stability_circuit
-from ..surface_code.layout import RotatedSurfaceCodeLayout, StabilityLayout
+from ..surface_code.layout import RotatedSurfaceCodeLayout, StabilityLayout, shared_layout
 
 __all__ = [
     "ENGINE_SCHEMA_VERSION",
@@ -66,7 +66,6 @@ __all__ = [
 # stale entries are ignored.
 ENGINE_SCHEMA_VERSION = 1
 
-_LAYOUTS = ("rotated", "stability")
 _EXPERIMENTS = ("memory", "stability")
 
 
@@ -158,13 +157,11 @@ class LerPointTask(TaskSpec):
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.layout_kind not in _LAYOUTS:
-            raise ValueError(f"unknown layout kind {self.layout_kind!r}")
         if self.rng_mode not in RNG_MODES:
             raise ValueError(f"unknown rng_mode {self.rng_mode!r}")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
-        # The domain types check width and rate.
+        # The domain types check layout kind, width and rate.
         self.layout()
         CircuitNoiseModel.standard(self.physical_error_rate)
 
@@ -202,9 +199,7 @@ class LerPointTask(TaskSpec):
 
     # ------------------------------------------------------------------
     def layout(self) -> RotatedSurfaceCodeLayout:
-        if self.layout_kind == "stability":
-            return StabilityLayout(self.size)
-        return RotatedSurfaceCodeLayout(self.size)
+        return shared_layout(self.layout_kind, self.size)
 
     def defects(self) -> DefectSet:
         return DefectSet.of(qubits=self.faulty_qubits, links=self.faulty_links)
@@ -331,7 +326,7 @@ class PatchSampleTask(TaskSpec):
             raise ValueError("max_attempts_factor must be positive")
 
     def layout(self) -> RotatedSurfaceCodeLayout:
-        return RotatedSurfaceCodeLayout(self.size)
+        return shared_layout("rotated", self.size)
 
     def defect_model(self) -> DefectModel:
         return DefectModel(self.defect_model_kind, self.defect_rate)
@@ -411,7 +406,7 @@ class YieldTask(TaskSpec):
 
     # ------------------------------------------------------------------
     def layout(self) -> RotatedSurfaceCodeLayout:
-        return RotatedSurfaceCodeLayout(self.chiplet_size)
+        return shared_layout("rotated", self.chiplet_size)
 
     def defect_model(self) -> DefectModel:
         return DefectModel(self.defect_model_kind, self.defect_rate)

@@ -40,29 +40,19 @@ import traceback
 from typing import Optional
 
 from ..env import env_str
-from .backends.wire import MAGIC, ProtocolError, recv_msg, send_msg
+from .backends.wire import ProtocolError, handshake, recv_msg, send_msg
 from .pipeline import memo_preload
 
 __all__ = ["serve", "main"]
 
 
-def _recv_magic(conn: socket.socket) -> bool:
-    """Server half of the handshake; False when the peer is incompatible."""
-    got = b""
-    while len(got) < len(MAGIC):
-        chunk = conn.recv(len(MAGIC) - len(got))
-        if not chunk:
-            return False
-        got += chunk
-    return got == MAGIC
-
-
 def _serve_connection(conn: socket.socket, peer) -> None:
     """Run one client's jobs until it disconnects."""
     try:
-        if not _recv_magic(conn):
+        try:
+            handshake(conn)
+        except ConnectionError:  # ProtocolError included: not our client
             return
-        conn.sendall(MAGIC)
         while True:
             try:
                 message = recv_msg(conn)

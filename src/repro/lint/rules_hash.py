@@ -15,7 +15,8 @@ For every class in :data:`~repro.engine.tasks.TASK_KINDS`:
 
 1. build a canonical sample instance (non-default values wherever the
    validators allow, so omit-when-default fields are exercised);
-2. for each ``dataclasses.fields`` entry, construct a *perturbed* copy via
+2. for each ``dataclasses.fields`` entry — and, for a dataclass-valued
+   field, for each of its own fields — construct a *perturbed* copy via
    ``dataclasses.replace`` — type-aware candidate values, first one the
    validators accept wins — and require the content hash to change;
 3. require ``payload() -> from_payload`` to round-trip the perturbed
@@ -34,7 +35,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .core import Finding, Rule, register_rule
 
@@ -76,18 +77,32 @@ def _candidates(value) -> List:
             out.append(value[:-1])          # drop last element
             out.append(value + (value[-1],))  # duplicate last element
         return out
-    if dataclasses.is_dataclass(value):
-        out = []
-        for field in dataclasses.fields(value):
-            for cand in _candidates(getattr(value, field.name)):
+    return []
+
+
+def _perturbation_groups(value) -> List[Tuple[str, List]]:
+    """Valid perturbed copies of a value, grouped by the field they change.
+
+    A dataclass value (a task, or a field such as ``LerPointTask.noise``)
+    gets one group per field, nested fields included, labelled ``.name`` /
+    ``.name.inner``; any other value is one group of raw candidates
+    labelled ``""``.  Copies the validators reject are left out.  Each group
+    is checked on its own, so a payload that drops any one inner field is
+    caught.
+    """
+    if not dataclasses.is_dataclass(value):
+        return [("", _candidates(value))]
+    groups: List[Tuple[str, List]] = []
+    for field in dataclasses.fields(value):
+        for label, cands in _perturbation_groups(getattr(value, field.name)):
+            out = []
+            for cand in cands:
                 try:
                     out.append(dataclasses.replace(value, **{field.name: cand}))
                 except (ValueError, TypeError):
                     continue
-            if out:
-                break
-        return out
-    return []
+            groups.append((f".{field.name}{label}", out))
+    return groups
 
 
 def _sample_tasks():
@@ -143,30 +158,25 @@ def check_task_class(cls, sample, *, path: str = "",
     """
     findings: List[Finding] = []
     base_hash = sample.content_hash()
-    for field in dataclasses.fields(cls):
-        perturbed = None
-        for cand in _candidates(getattr(sample, field.name)):
-            try:
-                perturbed = dataclasses.replace(sample, **{field.name: cand})
-            except (ValueError, TypeError):
-                continue
-            break
-        if perturbed is None:
+    for label, perturbations in _perturbation_groups(sample):
+        name = label[1:]
+        if not perturbations:
             findings.append(Finding(
                 rule=RULE_ID, path=path, line=line, col=1,
-                message=f"{cls.__name__}.{field.name}: no valid perturbation "
+                message=f"{cls.__name__}.{name}: no valid perturbation "
                         "found — hash coverage of this field is unverifiable",
                 fixit="teach repro.lint.rules_hash._candidates a valid "
                       "alternate value for this field",
             ))
             continue
+        perturbed = perturbations[0]
         if perturbed.content_hash() == base_hash:
             findings.append(Finding(
                 rule=RULE_ID, path=path, line=line, col=1,
-                message=f"{cls.__name__}.{field.name} changes the task but "
+                message=f"{cls.__name__}.{name} changes the task but "
                         "not its content hash — distinct computations would "
                         "alias in the result cache",
-                fixit=f"emit {field.name!r} from {cls.__name__}.payload() "
+                fixit=f"emit {name!r} from {cls.__name__}.payload() "
                       "(omit-when-default is fine; omit-always is not)",
             ))
             continue

@@ -30,7 +30,7 @@ the identity, which is the observable the stability experiment tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "RotatedSurfaceCodeLayout",
     "StabilityLayout",
     "plaquette_kind",
+    "shared_layout",
 ]
 
 Coord = Tuple[int, int]
@@ -276,3 +277,18 @@ class StabilityLayout(RotatedSurfaceCodeLayout):
 
     def boundary_sides(self) -> Dict[str, str]:
         return {"top": "Z", "bottom": "Z", "left": "Z", "right": "Z"}
+
+
+@lru_cache(maxsize=64)
+def shared_layout(kind: str, size: int) -> RotatedSurfaceCodeLayout:
+    """The one layout of a kind (``"rotated"`` or ``"stability"``) and width.
+
+    Nothing mutates a layout, so callers that build many patches of one
+    width share this instance and its cached geometry (checks, links,
+    ``checks_containing``) instead of rebuilding it per call.
+    """
+    if kind == "rotated":
+        return RotatedSurfaceCodeLayout(size)
+    if kind == "stability":
+        return StabilityLayout(size)
+    raise ValueError(f"unknown layout kind {kind!r}")

@@ -479,6 +479,116 @@ class TestWorkerProtocol:
             client.close()
             server.close()
 
+    @staticmethod
+    def _peer(reply):
+        """A listening socket whose one connection gets ``reply(conn)``."""
+        import socket as socket_mod
+        import threading
+
+        server = socket_mod.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+
+        def serve_one():
+            conn, _ = server.accept()
+            reply(conn)
+            conn.close()
+
+        threading.Thread(target=serve_one, daemon=True).start()
+        return server
+
+    @staticmethod
+    def _foreign_tag():
+        """A tag of this protocol carrying another source digest."""
+        from repro.engine.backends.wire import magic
+
+        tag = magic()
+        digit = b"1" if tag[-2:-1] == b"0" else b"0"
+        return tag[:-2] + digit + b"\n"
+
+    def test_magic_carries_a_source_digest(self):
+        from repro.engine.backends.wire import magic
+
+        tag = magic()
+        assert tag.startswith(b"REPRO-WORKER-2 ") and tag.endswith(b"\n")
+        assert len(tag) == len(b"REPRO-WORKER-2 ") + 32 + 1
+        assert magic() is tag  # computed once per process
+
+    @pytest.mark.parametrize("peer_sends", ["foreign_tag", "hang_up"])
+    def test_handshake_refuses_worker_of_another_revision(self, peer_sends):
+        """A worker from another revision is refused at connect, not when a
+        shard's pickled task fails to match its classes.  One that predates
+        the digest tag reads our tag, finds it foreign and hangs up."""
+        import socket as socket_mod
+
+        from repro.engine.backends.wire import ProtocolError, handshake
+
+        foreign = self._foreign_tag()
+
+        def reply(conn):
+            conn.recv(64)
+            if peer_sends == "foreign_tag":
+                conn.sendall(foreign)
+
+        server = self._peer(reply)
+        client = socket_mod.create_connection(server.getsockname(), timeout=5)
+        try:
+            with pytest.raises(ProtocolError, match="revision"):
+                handshake(client)
+        finally:
+            client.close()
+            server.close()
+
+    def test_socket_backend_refuses_foreign_worker_without_retries(self):
+        import time
+
+        foreign = self._foreign_tag()
+
+        def reply(conn):
+            conn.sendall(foreign)
+            conn.recv(64)
+
+        server = self._peer(reply)
+        backend = SocketBackend([server.getsockname()],
+                                connect_retries=40, retry_delay=0.25)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BackendError, match="revision"):
+                backend.map(_identity, [(1,)])
+            assert time.monotonic() - start < 5.0
+        finally:
+            backend.shutdown()
+            server.close()
+
+    def test_worker_closes_connection_on_foreign_tag(self):
+        """The worker sends its own tag first, then hangs up on a client
+        whose tag differs, before reading any frame."""
+        import socket as socket_mod
+        import threading
+
+        from repro.engine import worker as worker_mod
+        from repro.engine.backends.wire import magic
+
+        ready = threading.Event()
+        bound = []
+        threading.Thread(target=worker_mod.serve,
+                         kwargs={"port": 0, "ready_event": ready,
+                                 "bound": bound},
+                         daemon=True).start()
+        assert ready.wait(timeout=10)
+        client = socket_mod.create_connection(tuple(bound[0]), timeout=5)
+        try:
+            client.sendall(self._foreign_tag())
+            got = b""
+            while True:
+                chunk = client.recv(256)
+                if not chunk:
+                    break
+                got += chunk
+            assert got == magic()
+        finally:
+            client.close()
+
     def test_restricted_unpickler_rejects_foreign_globals(self):
         """A crafted frame naming os.system dies before any construction."""
         import pickle

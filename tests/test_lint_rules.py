@@ -14,6 +14,7 @@ import textwrap
 
 from repro.lint import lint_source
 from repro.lint.rules_hash import check_task_class
+from repro.noise.circuit_noise import CircuitNoiseModel
 
 
 def findings(source, path="src/repro/example.py", rules=None):
@@ -447,9 +448,69 @@ class DroppedOnRebuildTask:
         return cls(shots=payload["shots"])  # decoder dropped
 
 
+def _noise_json(noise, *, keep_bad_qubits=True):
+    out = {"p": noise.p, "single_qubit_factor": noise.single_qubit_factor,
+           "readout_factor": noise.readout_factor,
+           "idle_data_factor": noise.idle_data_factor,
+           "reset_factor": noise.reset_factor}
+    if keep_bad_qubits:
+        out["bad_qubits"] = [[list(c), r] for c, r in noise.bad_qubits]
+    return out
+
+
+def _noise_from_json(payload):
+    return CircuitNoiseModel(
+        p=payload["p"], single_qubit_factor=payload["single_qubit_factor"],
+        readout_factor=payload["readout_factor"],
+        idle_data_factor=payload["idle_data_factor"],
+        reset_factor=payload["reset_factor"],
+        bad_qubits=tuple((tuple(c), r)
+                         for c, r in payload.get("bad_qubits", ())))
+
+
+_NOISE = CircuitNoiseModel(p=2e-3, bad_qubits=(((1, 1), 0.01),))
+
+
+@dataclasses.dataclass(frozen=True)
+class NoiseTask:
+    """A dataclass-valued field hashed through every one of its fields."""
+
+    shots: int = 100
+    noise: CircuitNoiseModel = _NOISE
+
+    def payload(self):
+        return {"shots": self.shots, "noise": _noise_json(self.noise)}
+
+    def content_hash(self):
+        return _canon_hash(self.payload())
+
+    @classmethod
+    def from_payload(cls, payload):
+        return cls(shots=payload["shots"],
+                   noise=_noise_from_json(payload["noise"]))
+
+
+@dataclasses.dataclass(frozen=True)
+class BadQubitsOmittedTask(NoiseTask):
+    """The noise payload drops ``bad_qubits``, the last noise field."""
+
+    def payload(self):
+        return {"shots": self.shots,
+                "noise": _noise_json(self.noise, keep_bad_qubits=False)}
+
+
 class TestR006HashCompleteness:
     def test_complete_class_is_clean(self):
         assert check_task_class(GoodTask, GoodTask()) == []
+
+    def test_every_field_of_a_dataclass_field_is_checked(self):
+        assert check_task_class(NoiseTask, NoiseTask()) == []
+
+    def test_dropped_non_first_noise_field_is_flagged(self):
+        found = check_task_class(BadQubitsOmittedTask, BadQubitsOmittedTask())
+        assert len(found) == 1
+        assert "noise.bad_qubits" in found[0].message
+        assert "content hash" in found[0].message
 
     def test_hash_omitted_field_is_flagged(self):
         found = check_task_class(HashOmittedTask, HashOmittedTask())
