@@ -27,6 +27,7 @@ __all__ = [
     "pack_rows",
     "unpack_bits",
     "popcount",
+    "popcount_rows",
 ]
 
 WORD_BITS = 64
@@ -104,3 +105,11 @@ def popcount(words: np.ndarray) -> int:
         # 2**58 words before the total could wrap.
         return int(np.bitwise_count(words).sum(dtype=np.uint64))
     return _popcount_unpack(words)
+
+
+def popcount_rows(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a ``(rows, num_words)`` word matrix."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    return np.unpackbits(words.view(np.uint8), axis=-1).sum(axis=-1, dtype=np.int64)

@@ -8,35 +8,55 @@ the set of logical observables it flips.  It plays the role of
 Extraction strategy
 -------------------
 Pauli-frame propagation is linear over GF(2): the detector signature of a
-product of Pauli faults is the XOR of the signatures of its factors.  We
-therefore:
+product of Pauli faults is the XOR of the signatures of its factors.  The
+builder runs as whole-array numpy in seven steps:
 
-1. Enumerate *basis faults* - single-qubit X or Z faults at a specific point
-   in the circuit - one for every qubit touched by every noise channel.
-2. Propagate **all** basis faults through the remainder of the circuit in a
-   single vectorised pass (one column per basis fault), producing a detector
-   signature and observable signature for each.
-3. Expand each noise channel into its Pauli components (e.g. the 15 equally
-   likely two-qubit Paulis of ``DEPOLARIZE2``), compute each component's
-   signature as the XOR of its basis-fault signatures, and accumulate
-   probabilities.
-4. Components that flip more than two detectors are decomposed into their
-   constituent basis faults (the standard independent-decomposition
-   approximation used by matching decoders), so that every error mechanism in
-   the final DEM touches at most two detectors and maps onto a matching-graph
-   edge.
+1. **Enumerate from templates.**  Every noise channel expands per target
+   (per pair for ``DEPOLARIZE2``) into fixed *basis faults* - single-qubit X
+   or Z faults at that point of the circuit - and Pauli *components*, each a
+   probability and up to four member basis faults: ``X_ERROR`` / ``Z_ERROR``
+   1 fault and 1 component, ``Y_ERROR`` 2 and 1, ``DEPOLARIZE1`` 2 and 3
+   (X, Y, Z at ``p / 3``), ``DEPOLARIZE2`` 4 and the 15 of
+   :data:`_DEP2_COMPONENTS` at ``p / 15``.  One ``np.repeat`` expansion over
+   all channels yields the fault and component arrays in circuit order.
+2. **Propagate** all basis faults forward through the circuit in one pass,
+   one bit per fault packed into ``uint64`` words.  Runs of adjacent gates of
+   one kind apply as one fancy-indexed update per set of disjoint qubits, and
+   faults are injected just before the next gate that moves the frame.
+3. **Pack one signature row per basis fault** (plus an all-zero row that pads
+   short member lists): detector bits in the leading words, observable bits
+   in the trailing ones.
+4. **Component signatures** are the XOR of their member rows; the number of
+   flipped detectors is a popcount of the detector words alone.
+5. **Expand into an ordered event list.**  With ``decompose=True`` a
+   component that flips more than two detectors is replaced by its member
+   basis faults, in member order, each at the component probability (the
+   standard independent-decomposition approximation of matching decoders),
+   so every mechanism of the DEM maps onto a matching-graph edge.  Events
+   with ``p <= 0`` or an empty key are dropped.
+6. **Group and fold.**  A stable lexicographic sort groups equal keys while
+   keeping event order inside each group.  Probabilities fold with the XOR
+   rule ``p <- p1 (1-p2) + p2 (1-p1)`` (:func:`_xor_combine`), one level of
+   rank-within-group at a time, across all groups at once.
+7. **Sort the output** by the ``(detectors, observables)`` index tuples and
+   drop mechanisms whose folded probability is 0.
 
-Probabilities of mechanisms with identical (detectors, observables) keys are
-combined with the XOR rule ``p <- p1 (1-p2) + p2 (1-p1)``.
+The result is exact, not close: it equals the per-component loop this
+pipeline replaced (kept as a test oracle) down to ``float.hex``.  Each
+component probability is the same single IEEE division of the channel
+argument; the fold applies the same multiplies and adds to the same operands
+in the same (event) order, starting from 0 exactly as a first ``_xor_combine``
+with 0 does; and the output is ordered by the same Python tuple comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from .bitpack import WORD_BITS, num_words, pack_rows, popcount_rows, unpack_bits
 from .circuit import Circuit
 
 __all__ = ["DemError", "DetectorErrorModel", "build_detector_error_model"]
@@ -114,143 +134,216 @@ for _code in range(1, 16):
     _DEP2_COMPONENTS.append(tuple(members))
 
 
-def _enumerate_basis_faults(circuit: Circuit) -> Tuple[List[Tuple[int, int, str]],
-                                                       List[Tuple[float, Tuple[int, ...]]]]:
-    """Walk the circuit and list basis faults plus channel components.
+# Template of one target group (a qubit, or a pair for DEPOLARIZE2) per
+# channel: (targets per group, basis faults as (target slot, is Z),
+# probability divisor, member fault slots of each component).
+_CHANNELS = {
+    "X_ERROR": (1, ((0, False),), 1, ((0,),)),
+    "Z_ERROR": (1, ((0, True),), 1, ((0,),)),
+    "Y_ERROR": (1, ((0, False), (0, True)), 1, ((0, 1),)),
+    "DEPOLARIZE1": (1, ((0, False), (0, True)), 3, ((0,), (0, 1), (1,))),  # X, Y, Z
+    "DEPOLARIZE2": (2, ((0, False), (0, True), (1, False), (1, True)), 15,
+                    tuple(_DEP2_COMPONENTS)),
+}
+# name -> (kind, targets per group); then per-kind template tables.
+_KIND = {name: (kind, c[0]) for kind, (name, c) in enumerate(_CHANNELS.items())}
+_WIDTH = np.array([c[0] for c in _CHANNELS.values()])
+_NUM_FAULTS = np.array([len(c[1]) for c in _CHANNELS.values()])
+_DIVISOR = np.array([float(c[2]) for c in _CHANNELS.values()])
+_NUM_COMPONENTS = np.array([len(c[3]) for c in _CHANNELS.values()])
+_SLOT_TARGET = np.zeros((len(_CHANNELS), 4), dtype=np.int64)
+_SLOT_Z = np.zeros((len(_CHANNELS), 4), dtype=bool)
+_MEMBERS = np.full((len(_CHANNELS), 15, 4), -1, dtype=np.int64)  # -1 pads
+for _kind, (_, _faults, _, _components) in enumerate(_CHANNELS.values()):
+    for _slot, (_target, _is_z) in enumerate(_faults):
+        _SLOT_TARGET[_kind, _slot] = _target
+        _SLOT_Z[_kind, _slot] = _is_z
+    for _c, _members in enumerate(_components):
+        _MEMBERS[_kind, _c, :len(_members)] = _members
+
+# Instructions that move the Pauli frame; every other one leaves it alone.
+_FRAME_OPS = frozenset({"CX", "CZ", "H", "S", "R", "RX", "M", "MX", "MR"})
+
+
+def _enumerate_basis_faults(circuit: Circuit) -> Tuple[np.ndarray, ...]:
+    """Expand every noise channel into basis faults and Pauli components.
 
     Returns
     -------
-    basis_faults:
-        List of ``(instruction_index, qubit, pauli)`` triples; position in the
-        list is the basis-fault id.
-    components:
-        List of ``(probability, basis_fault_ids)`` tuples, one per Pauli
-        component of every noise channel.
+    fault_inst, fault_qubit, fault_is_z:
+        Per basis fault (its position is its id): the index of its
+        instruction, its qubit, and whether it is a Z (else an X) fault.
+        Ids follow circuit order, so ``fault_inst`` is non-decreasing.
+    comp_p:
+        Probability of each Pauli component of every channel.
+    comp_members:
+        ``(4, components)`` basis-fault ids of each component, padded with
+        the id one past the last fault.
     """
-    basis_faults: List[Tuple[int, int, str]] = []
-    components: List[Tuple[float, Tuple[int, ...]]] = []
-
+    kinds: List[int] = []
+    probs: List[float] = []
+    insts: List[int] = []
+    groups: List[int] = []
+    targets: List[int] = []
     for idx, inst in enumerate(circuit.instructions):
-        name = inst.name
-        p = inst.arg
-        if p == 0.0 and name in ("X_ERROR", "Z_ERROR", "Y_ERROR",
-                                 "DEPOLARIZE1", "DEPOLARIZE2"):
+        kind = _KIND.get(inst.name)
+        if kind is None or inst.arg == 0.0 or not inst.targets:
             continue
-        if name == "X_ERROR":
-            for q in inst.targets:
-                fid = len(basis_faults)
-                basis_faults.append((idx, q, "X"))
-                components.append((p, (fid,)))
-        elif name == "Z_ERROR":
-            for q in inst.targets:
-                fid = len(basis_faults)
-                basis_faults.append((idx, q, "Z"))
-                components.append((p, (fid,)))
-        elif name == "Y_ERROR":
-            for q in inst.targets:
-                fx = len(basis_faults)
-                basis_faults.append((idx, q, "X"))
-                fz = len(basis_faults)
-                basis_faults.append((idx, q, "Z"))
-                components.append((p, (fx, fz)))
-        elif name == "DEPOLARIZE1":
-            for q in inst.targets:
-                fx = len(basis_faults)
-                basis_faults.append((idx, q, "X"))
-                fz = len(basis_faults)
-                basis_faults.append((idx, q, "Z"))
-                components.append((p / 3, (fx,)))        # X
-                components.append((p / 3, (fx, fz)))     # Y
-                components.append((p / 3, (fz,)))        # Z
-        elif name == "DEPOLARIZE2":
-            for a, b in inst.target_pairs():
-                base = len(basis_faults)
-                basis_faults.append((idx, a, "X"))
-                basis_faults.append((idx, a, "Z"))
-                basis_faults.append((idx, b, "X"))
-                basis_faults.append((idx, b, "Z"))
-                for comp in _DEP2_COMPONENTS:
-                    components.append((p / 15, tuple(base + m for m in comp)))
-    return basis_faults, components
+        kinds.append(kind[0])
+        probs.append(inst.arg)
+        insts.append(idx)
+        groups.append(len(inst.targets) // kind[1])
+        targets.extend(inst.targets)
+    groups_arr = np.array(groups, dtype=np.int64)
+    g_kind = np.repeat(np.array(kinds, dtype=np.int64), groups_arr)
+    g_first = np.cumsum(_WIDTH[g_kind]) - _WIDTH[g_kind]
+
+    per_group = _NUM_FAULTS[g_kind]
+    g_base = np.cumsum(per_group) - per_group
+    f_group = np.repeat(np.arange(g_kind.size), per_group)
+    f_kind = g_kind[f_group]
+    f_slot = np.arange(f_group.size) - g_base[f_group]
+    fault_qubit = np.array(targets, dtype=np.int64)[
+        g_first[f_group] + _SLOT_TARGET[f_kind, f_slot]]
+    fault_is_z = _SLOT_Z[f_kind, f_slot]
+    fault_inst = np.repeat(np.array(insts, dtype=np.int64), groups_arr)[f_group]
+
+    per_group = _NUM_COMPONENTS[g_kind]
+    c_group = np.repeat(np.arange(g_kind.size), per_group)
+    c_kind = g_kind[c_group]
+    c_slot = np.arange(c_group.size) - (np.cumsum(per_group) - per_group)[c_group]
+    comp_p = np.repeat(np.array(probs, dtype=np.float64), groups_arr)[c_group] / _DIVISOR[c_kind]
+    slots = _MEMBERS[c_kind, c_slot].T
+    comp_members = np.where(slots < 0, f_group.size, g_base[c_group] + slots)
+    return fault_inst, fault_qubit, fault_is_z, comp_p, comp_members
+
+
+def _disjoint_runs(targets: List[int], width: int) -> List[List[int]]:
+    """Split gate targets into runs of whole groups on pairwise distinct qubits.
+
+    Gates of one run commute, so one fancy-indexed update applies them all;
+    applying the runs in order keeps the sequential semantics of repeated
+    qubits.
+    """
+    if len(set(targets)) == len(targets):
+        return [targets]
+    runs: List[List[int]] = [[]]
+    seen: set[int] = set()
+    for i in range(0, len(targets), width):
+        group = targets[i:i + width]
+        if not seen.isdisjoint(group):
+            runs.append([])
+            seen = set()
+        runs[-1].extend(group)
+        seen.update(group)
+    return runs
+
+
+def _xor_of_rows(rows: np.ndarray, groups: List[Tuple[int, ...]]) -> np.ndarray:
+    """XOR of the listed rows, one result row per group.
+
+    The last row of ``rows`` must be zero: an empty group reads it.
+    """
+    if not groups:
+        return np.zeros((0, rows.shape[1]), dtype=rows.dtype)
+    flat: List[int] = []
+    starts: List[int] = []
+    for group in groups:
+        starts.append(len(flat))
+        flat.extend(group or (rows.shape[0] - 1,))
+    return np.bitwise_xor.reduceat(rows[flat], starts, axis=0)
 
 
 def _propagate_basis_faults(
-    circuit: Circuit, basis_faults: Sequence[Tuple[int, int, str]]
+    circuit: Circuit, fault_inst: np.ndarray, fault_qubit: np.ndarray,
+    fault_is_z: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Propagate every basis fault through the circuit in one vectorised pass.
+    """Propagate every basis fault through the circuit in one packed pass.
 
-    Returns boolean arrays ``det_sig`` of shape ``(num_detectors, F)`` and
-    ``obs_sig`` of shape ``(num_observables, F)``.
+    Returns ``uint64`` word matrices ``det`` of shape ``(num_detectors, W)``
+    and ``obs`` of shape ``(num_observables, W)``; bit ``f`` of a row (word
+    ``f // 64``, little-endian) is set when basis fault ``f`` flips it.
     """
     n = circuit.num_qubits
-    f = len(basis_faults)
-    x = np.zeros((n, f), dtype=bool)
-    z = np.zeros((n, f), dtype=bool)
-    meas = np.zeros((circuit.num_measurements, f), dtype=bool)
-    det = np.zeros((circuit.num_detectors, f), dtype=bool)
-    obs = np.zeros((max(circuit.num_observables, 1), f), dtype=bool)
+    f = fault_inst.size
+    fw = num_words(f)
+    # X frame rows then Z frame rows; one flat index per fault injects it.
+    frame = np.zeros((2 * n, fw), dtype=np.uint64)
+    x, z = frame[:n], frame[n:]
+    flat = (fault_qubit + n * fault_is_z) * fw + np.arange(f) // WORD_BITS
+    bit = np.left_shift(np.uint64(1), (np.arange(f) % WORD_BITS).astype(np.uint64))
+    # One spare zero row at the end for empty detectors.
+    meas = np.zeros((circuit.num_measurements + 1, fw), dtype=np.uint64)
 
-    # Group basis-fault injections by instruction index for O(1) lookup.
-    inject: Dict[int, List[Tuple[int, int, str]]] = {}
-    for fid, (idx, q, pauli) in enumerate(basis_faults):
-        inject.setdefault(idx, []).append((fid, q, pauli))
-
-    m_idx = 0
-    d_idx = 0
+    # Adjacent gates of one kind merge into a single step.
+    steps: List[list] = []  # [name, targets, first index, last index]
+    detectors: List[Tuple[int, ...]] = []
+    observables: List[Tuple[int, Tuple[int, ...]]] = []
     for idx, inst in enumerate(circuit.instructions):
         name = inst.name
-        # Inject the basis faults that occur *at* this noise channel before
-        # continuing propagation (the fault happens where the channel sits).
-        if idx in inject:
-            for fid, q, pauli in inject[idx]:
-                if pauli == "X":
-                    x[q, fid] = True
-                else:
-                    z[q, fid] = True
-        if name == "CX":
-            for c, t in inst.target_pairs():
-                x[t] ^= x[c]
-                z[c] ^= z[t]
-        elif name == "H":
-            for q in inst.targets:
-                x[q], z[q] = z[q].copy(), x[q].copy()
-        elif name == "CZ":
-            for a, b in inst.target_pairs():
+        if name in _FRAME_OPS:
+            if steps and steps[-1][0] == name and steps[-1][3] == idx - 1:
+                steps[-1][1].extend(inst.targets)
+                steps[-1][3] = idx
+            else:
+                steps.append([name, list(inst.targets), idx, idx])
+        elif name == "DETECTOR":
+            detectors.append(inst.targets)
+        elif name == "OBSERVABLE_INCLUDE":
+            observables.append((int(inst.arg), inst.targets))
+
+    injected = 0
+    m_idx = 0
+    for name, targets, first, _ in steps:
+        # Inject the faults of every channel before this step: the fault
+        # happens where its channel sits.
+        upto = int(np.searchsorted(fault_inst, first))
+        if upto > injected:
+            np.bitwise_or.at(frame.reshape(-1), flat[injected:upto], bit[injected:upto])
+            injected = upto
+        for run in _disjoint_runs(targets, 2 if name in ("CX", "CZ") else 1):
+            t = np.array(run, dtype=np.int64)
+            if name == "CX":
+                c, tt = t[0::2], t[1::2]
+                x[tt] ^= x[c]
+                z[c] ^= z[tt]
+            elif name == "CZ":
+                a, b = t[0::2], t[1::2]
                 z[a] ^= x[b]
                 z[b] ^= x[a]
-        elif name == "S":
-            for q in inst.targets:
-                z[q] ^= x[q]
-        elif name in ("R", "RX"):
-            for q in inst.targets:
-                x[q] = False
-                z[q] = False
-        elif name == "M":
-            for q in inst.targets:
-                meas[m_idx] = x[q]
-                m_idx += 1
-        elif name == "MX":
-            for q in inst.targets:
-                meas[m_idx] = z[q]
-                m_idx += 1
-        elif name == "MR":
-            for q in inst.targets:
-                meas[m_idx] = x[q]
-                x[q] = False
-                z[q] = False
-                m_idx += 1
-        elif name == "DETECTOR":
-            acc = np.zeros(f, dtype=bool)
-            for mi in inst.targets:
-                acc ^= meas[mi]
-            det[d_idx] = acc
-            d_idx += 1
-        elif name == "OBSERVABLE_INCLUDE":
-            o = int(inst.arg)
-            for mi in inst.targets:
-                obs[o] ^= meas[mi]
-        # Pauli gates, noise probabilities and TICKs do not move the frame.
-    return det, obs[: circuit.num_observables]
+            elif name == "H":
+                x[t], z[t] = z[t], x[t]
+            elif name == "S":
+                z[t] ^= x[t]
+            elif name in ("R", "RX"):
+                x[t] = 0
+                z[t] = 0
+            else:  # M, MX, MR
+                meas[m_idx:m_idx + t.size] = (z if name == "MX" else x)[t]
+                m_idx += t.size
+                if name == "MR":
+                    x[t] = 0
+                    z[t] = 0
+
+    # Measurement rows are final once written, so detectors and observables
+    # read them after the pass.
+    det = _xor_of_rows(meas, detectors)
+    obs = np.zeros((circuit.num_observables, fw), dtype=np.uint64)
+    if observables:
+        np.bitwise_xor.at(obs, [o for o, _ in observables],
+                          _xor_of_rows(meas, [t for _, t in observables]))
+    return det, obs
+
+
+def _index_tuples(bits: np.ndarray) -> List[Tuple[int, ...]]:
+    """Sorted set-bit indices of each row of a boolean matrix."""
+    cols = np.nonzero(bits)[1].tolist()
+    out: List[Tuple[int, ...]] = []
+    start = 0
+    for end in np.cumsum(bits.sum(axis=1)).tolist():
+        out.append(tuple(cols[start:end]))
+        start = end
+    return out
 
 
 def build_detector_error_model(
@@ -268,47 +361,54 @@ def build_detector_error_model(
         result is graph-like.  When False they are kept as hyperedges.
     """
     circuit.validate()
-    basis_faults, components = _enumerate_basis_faults(circuit)
-    if not basis_faults:
-        return DetectorErrorModel(circuit.num_detectors, circuit.num_observables, [])
-    det_sig, obs_sig = _propagate_basis_faults(circuit, basis_faults)
+    num_det, num_obs = circuit.num_detectors, circuit.num_observables
+    fault_inst, fault_qubit, fault_is_z, comp_p, members = _enumerate_basis_faults(circuit)
+    f = fault_inst.size
+    if not f:
+        return DetectorErrorModel(num_det, num_obs, [])
+    det, obs = _propagate_basis_faults(circuit, fault_inst, fault_qubit, fault_is_z)
 
-    # Pre-compute sparse signatures per basis fault.
-    basis_dets: List[Tuple[int, ...]] = []
-    basis_obs: List[Tuple[int, ...]] = []
-    for fid in range(len(basis_faults)):
-        basis_dets.append(tuple(int(i) for i in np.flatnonzero(det_sig[:, fid])))
-        basis_obs.append(tuple(int(i) for i in np.flatnonzero(obs_sig[:, fid])))
+    # One signature row per basis fault plus the zero row that pads members.
+    dw = num_words(num_det)
+    sig = np.zeros((f + 1, dw + num_words(num_obs)), dtype=np.uint64)
+    sig[:f, :dw] = pack_rows(unpack_bits(det, f).T)
+    sig[:f, dw:] = pack_rows(unpack_bits(obs, f).T)
 
-    accumulated: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
+    live = comp_p > 0.0
+    comp_p, members = comp_p[live], members[:, live]
+    comp_sig = np.bitwise_xor.reduce(sig[members], axis=0)
+    split = np.zeros(comp_p.size, dtype=bool)
+    if decompose:
+        split = popcount_rows(comp_sig[:, :dw]) > 2
 
-    def _add(dets: Tuple[int, ...], obs: Tuple[int, ...], p: float) -> None:
-        if not dets and not obs:
-            return
-        key = (dets, obs)
-        accumulated[key] = _xor_combine(accumulated.get(key, 0.0), p)
+    # Ordered events: a component, or in its place its member basis faults;
+    # ``row`` indexes the basis rows followed by the component rows.
+    per_comp = np.where(split, (members < f).sum(axis=0), 1)
+    ev_comp = np.repeat(np.arange(comp_p.size), per_comp)
+    ev_rank = np.arange(ev_comp.size) - (np.cumsum(per_comp) - per_comp)[ev_comp]
+    row = np.where(split[ev_comp], members[ev_rank, ev_comp], f + 1 + ev_comp)
+    ev_sig = np.concatenate((sig, comp_sig))[row]
+    nonempty = ev_sig.any(axis=1)
+    ev_sig, ev_p = ev_sig[nonempty], comp_p[ev_comp[nonempty]]
+    if not ev_p.size:
+        return DetectorErrorModel(num_det, num_obs, [])
 
-    for p, fault_ids in components:
-        if p <= 0.0:
-            continue
-        det_acc: set[int] = set()
-        obs_acc: set[int] = set()
-        for fid in fault_ids:
-            det_acc ^= set(basis_dets[fid])
-            obs_acc ^= set(basis_obs[fid])
-        dets = tuple(sorted(det_acc))
-        obs = tuple(sorted(obs_acc))
-        if len(dets) <= 2 or not decompose:
-            _add(dets, obs, p)
-        else:
-            # Independent decomposition: attribute the component probability
-            # to each constituent basis fault separately.
-            for fid in fault_ids:
-                _add(basis_dets[fid], basis_obs[fid], p)
+    # Group equal keys (the sort is stable, so each group keeps event order)
+    # and fold each group's probabilities level by level.
+    order = np.lexsort(ev_sig.T[::-1])
+    ev_sig, ev_p = ev_sig[order], ev_p[order]
+    starts = np.flatnonzero(np.r_[True, (ev_sig[1:] != ev_sig[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, ev_p.size])
+    deep = np.argsort(-sizes, kind="stable")
+    starts, sizes = starts[deep], sizes[deep]
+    acc = np.zeros(starts.size)
+    for rank, width in enumerate(np.searchsorted(-sizes, -np.arange(sizes[0]), side="left")):
+        acc[:width] = _xor_combine(acc[:width], ev_p[starts[:width] + rank])
 
-    errors = [
-        DemError(probability=pv, detectors=dets, observables=obs)
-        for (dets, obs), pv in sorted(accumulated.items())
-        if pv > 0.0
-    ]
-    return DetectorErrorModel(circuit.num_detectors, circuit.num_observables, errors)
+    keep = acc > 0.0
+    keys = ev_sig[starts[keep]]
+    errors = sorted(zip(_index_tuples(unpack_bits(keys[:, :dw], num_det)),
+                        _index_tuples(unpack_bits(keys[:, dw:], num_obs)),
+                        acc[keep].tolist()))
+    return DetectorErrorModel(num_det, num_obs,
+                              [DemError(p, dets, obs) for dets, obs, p in errors])

@@ -616,20 +616,42 @@ def _scatter_bits(dest: np.ndarray, qubits: np.ndarray, cols: np.ndarray) -> Non
     np.bitwise_xor.at(dest, (qubits, words), bits)
 
 
+# De Bruijn lowest-set-bit index: for a single-bit word ``b``,
+# ``(b * _DEBRUIJN) >> 58`` is distinct for each of the 64 bit positions.
+_DEBRUIJN = np.uint64(0x03F79D71B4CB0A89)
+_DEBRUIJN_BIT = np.zeros(WORD_BITS, dtype=np.intp)
+for _bit in range(WORD_BITS):
+    _DEBRUIJN_BIT[((1 << _bit) * int(_DEBRUIJN) % 2 ** 64) >> 58] = _bit
+
+
 def _hit_lanes(hit_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(row, shot) indices of set bits in packed hit rows, C order.
 
-    Scans at word granularity (64 lanes per element) and expands only the
-    hit words to bit positions — the low-p fast path that replaces a
-    ``nonzero`` pass over the full boolean mask.
+    Scans at word granularity (64 lanes per element) and peels only the hit
+    words, one lowest set bit (``w & -w``, located by a de Bruijn multiply)
+    per pass over the words still non-zero.  The ``k``-th bit peeled from a
+    word lands at the word's output offset plus ``k``, so lanes come out in
+    C order, which the bitgen thinning stream depends on.
     """
     wr, wc = np.nonzero(hit_words)
     if not wr.size:
         return wr, wc
-    bits = np.unpackbits(hit_words[wr, wc].view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    sel, bitpos = np.nonzero(bits)
-    return wr[sel], wc[sel] * WORD_BITS + bitpos
+    w = hit_words[wr, wc]
+    live = np.arange(w.size)
+    counts = np.zeros(w.size, dtype=np.intp)
+    passes = []
+    while live.size:
+        low = w & -w
+        passes.append((live, _DEBRUIJN_BIT[(low * _DEBRUIJN) >> np.uint64(58)]))
+        counts[live] += 1
+        w ^= low
+        more = w != 0
+        live, w = live[more], w[more]
+    offsets = np.cumsum(counts) - counts
+    bitpos = np.empty(offsets[-1] + counts[-1], dtype=np.intp)
+    for k, (live_k, bits_k) in enumerate(passes):
+        bitpos[offsets[live_k] + k] = bits_k
+    return np.repeat(wr, counts), np.repeat(wc, counts) * WORD_BITS + bitpos
 
 
 def _flip_lanes(kind: str, data: tuple, i0: int, rows: np.ndarray,

@@ -24,12 +24,14 @@ from repro.stabilizer.bitpack import (
     pack_bits,
     pack_rows,
     popcount,
+    popcount_rows,
     unpack_bits,
 )
 from repro.stabilizer.packed import (
     _channel_probs,
     _compile_program,
     _flip_lanes,
+    _hit_lanes,
 )
 from repro.stabilizer.reference import reference_packed_sample
 
@@ -123,6 +125,18 @@ class TestBitpack:
         with_fast = popcount(words)
         monkeypatch.setattr(bitpack, "_HAS_BITWISE_COUNT", False)
         assert popcount(words) == with_fast
+
+    def test_popcount_rows_both_paths_count_each_row(self, monkeypatch):
+        from repro.stabilizer import bitpack
+
+        words = np.random.default_rng(8).integers(0, 2**64, size=(9, 3),
+                                                  dtype=np.uint64)
+        words[0] = 0
+        words[1] = np.uint64(2**64 - 1)
+        expected = [popcount(row) for row in words]
+        assert popcount_rows(words).tolist() == expected
+        monkeypatch.setattr(bitpack, "_HAS_BITWISE_COUNT", False)
+        assert popcount_rows(words).tolist() == expected
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_pack_rows_matches_per_row_pack_bits(self, n):
@@ -484,3 +498,18 @@ class TestFlipLanes:
         got = unpack_bits(x, 64)[0]
         assert got.nonzero()[0].tolist() == [6]
         assert np.array_equal(x, z)
+
+
+class TestHitLanes:
+    """``_hit_lanes`` lists set bits in C order (row, then shot), which the
+    bitgen thinning stream consumes lane by lane; full words exercise all 64
+    bit positions of the lowest-set-bit peel."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("shots", [1, 64, 200])
+    def test_matches_nonzero_of_unpacked_bits(self, density, shots):
+        bits = np.random.default_rng(shots).random((6, shots)) < density
+        rows, cols = _hit_lanes(pack_rows(bits))
+        want_rows, want_cols = np.nonzero(bits)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
