@@ -187,7 +187,7 @@ def _enumerate_basis_faults(circuit: Circuit) -> Tuple[np.ndarray, ...]:
     targets: List[int] = []
     for idx, inst in enumerate(circuit.instructions):
         kind = _KIND.get(inst.name)
-        if kind is None or inst.arg == 0.0 or not inst.targets:
+        if kind is None or inst.arg == 0.0:
             continue
         kinds.append(kind[0])
         probs.append(inst.arg)

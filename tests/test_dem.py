@@ -381,9 +381,10 @@ def _exact(dem) -> tuple:
             [(e.detectors, e.observables, e.probability.hex()) for e in dem])
 
 
-# Channel probabilities: zero, the tiny end, values shared between channels
-# (so keys repeat with equal p) and p = 1, whose repeats fold to 0 and drop.
-_PROBS = st.sampled_from([0.0, 1e-300, 1e-3, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0])
+# Channel probabilities: zero, the smallest subnormal (p / 3 and p / 15
+# round to 0, so those components drop), values shared between channels (so
+# keys repeat with equal p) and p = 1, whose repeats fold to 0 and drop.
+_PROBS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0])
 _ONE_QUBIT = ("H", "S", "R", "RX", "M", "MX", "MR",
               "X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1")
 _TWO_QUBIT = ("CX", "CZ", "DEPOLARIZE2")
