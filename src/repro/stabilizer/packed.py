@@ -638,15 +638,18 @@ def _hit_lanes(hit_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return wr, wc
     w = hit_words[wr, wc]
     live = np.arange(w.size)
-    counts = np.zeros(w.size, dtype=np.intp)
-    passes = []
-    while live.size:
+    passes = []  # (word positions, bit index) per pass
+    while w.size:
         low = w & -w
         passes.append((live, _DEBRUIJN_BIT[(low * _DEBRUIJN) >> np.uint64(58)]))
-        counts[live] += 1
         w ^= low
-        more = w != 0
+        more = np.flatnonzero(w)
         live, w = live[more], w[more]
+    if len(passes) == 1:  # one lane per hit word, the sparse common case
+        return wr, wc * WORD_BITS + passes[0][1]
+    counts = np.zeros(wr.size, dtype=np.intp)
+    for live_k, _ in passes:
+        counts[live_k] += 1
     offsets = np.cumsum(counts) - counts
     bitpos = np.empty(offsets[-1] + counts[-1], dtype=np.intp)
     for k, (live_k, bits_k) in enumerate(passes):
