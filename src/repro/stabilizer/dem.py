@@ -41,12 +41,12 @@ builder runs as whole-array numpy in seven steps:
 7. **Sort the output** by the ``(detectors, observables)`` index tuples and
    drop mechanisms whose folded probability is 0.
 
-The result is exact, not close: it equals the per-component loop this
-pipeline replaced (kept as a test oracle) down to ``float.hex``.  Each
-component probability is the same single IEEE division of the channel
-argument; the fold applies the same multiplies and adds to the same operands
-in the same (event) order, starting from 0 exactly as a first ``_xor_combine``
-with 0 does; and the output is ordered by the same Python tuple comparison.
+The result is exact, not close: it equals a per-component set-XOR loop
+(``_oracle_build`` in ``tests/test_dem.py``) down to ``float.hex``.  Each
+component probability is one IEEE division of the channel argument (by 1, 3
+or 15); the fold applies the same multiplies and adds to the same operands in
+the same (event) order, starting from 0 as a first ``_xor_combine`` with 0
+does; and the output is ordered by the same Python tuple comparison.
 """
 
 from __future__ import annotations
