@@ -616,55 +616,20 @@ def _scatter_bits(dest: np.ndarray, qubits: np.ndarray, cols: np.ndarray) -> Non
     np.bitwise_xor.at(dest, (qubits, words), bits)
 
 
-# De Bruijn lowest-set-bit index: for a single-bit word ``b``,
-# ``(b * _DEBRUIJN) >> 58`` is distinct for each of the 64 bit positions.
-_DEBRUIJN = np.uint64(0x03F79D71B4CB0A89)
-_DEBRUIJN_BIT = np.zeros(WORD_BITS, dtype=np.intp)
-for _bit in range(WORD_BITS):
-    _DEBRUIJN_BIT[((1 << _bit) * int(_DEBRUIJN) % 2 ** 64) >> 58] = _bit
-# A peel pass costs about as much as unpacking a few dozen words to bools,
-# so peeling pays only while this many words still hold bits.
-_PEEL_MIN_WORDS = 128
-
-
 def _hit_lanes(hit_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(row, shot) indices of set bits in packed hit rows, C order.
 
-    Scans at word granularity (64 lanes per element).  While many hit words
-    hold bits, each pass peels the lowest set bit (``w & -w``, located by a
-    de Bruijn multiply) of every one of them; the few words left (a short
-    window, or the dense words of a few rows) unpack to 64 bools each.  The
-    ``k``-th lane of a word lands at the word's output offset plus ``k``, so
-    lanes come out in C order, which the bitgen thinning stream depends on.
+    Scans at word granularity (64 lanes per element) and expands only the
+    hit words to bit positions — the low-p fast path that replaces a
+    ``nonzero`` pass over the full boolean mask.
     """
     wr, wc = np.nonzero(hit_words)
     if not wr.size:
         return wr, wc
-    w = hit_words[wr, wc]
-    live = np.arange(w.size)
-    passes = []  # (word positions, bit index) per pass
-    while live.size >= _PEEL_MIN_WORDS:
-        low = w & -w
-        passes.append((live, _DEBRUIJN_BIT[(low * _DEBRUIJN) >> np.uint64(58)]))
-        w ^= low
-        more = np.flatnonzero(w)
-        live, w = live[more], w[more]
-    sel, tail = np.nonzero(np.unpackbits(w.view(np.uint8).reshape(-1, 8),
-                                         axis=1, bitorder="little"))
-    if not passes:
-        return wr[sel], wc[sel] * WORD_BITS + tail
-    tail_counts = np.bincount(sel, minlength=live.size)
-    counts = np.zeros(wr.size, dtype=np.intp)
-    for live_k, _ in passes:
-        counts[live_k] += 1
-    counts[live] += tail_counts
-    offsets = np.cumsum(counts) - counts
-    bitpos = np.empty(offsets[-1] + counts[-1], dtype=np.intp)
-    for k, (live_k, bits_k) in enumerate(passes):
-        bitpos[offsets[live_k] + k] = bits_k
-    rank = np.arange(sel.size) - (np.cumsum(tail_counts) - tail_counts)[sel]
-    bitpos[offsets[live[sel]] + len(passes) + rank] = tail
-    return np.repeat(wr, counts), np.repeat(wc, counts) * WORD_BITS + bitpos
+    bits = np.unpackbits(hit_words[wr, wc].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    sel, bitpos = np.nonzero(bits)
+    return wr[sel], wc[sel] * WORD_BITS + bitpos
 
 
 def _flip_lanes(kind: str, data: tuple, i0: int, rows: np.ndarray,

@@ -502,12 +502,11 @@ class TestFlipLanes:
 
 class TestHitLanes:
     """``_hit_lanes`` lists set bits in C order (row, then shot), which the
-    bitgen thinning stream consumes lane by lane.  Few hit words unpack
-    whole; many are peeled first and the rest unpacked, and full words
-    exercise all 64 bit positions of the peel."""
+    bitgen thinning stream consumes lane by lane; partial and full words
+    cover every bit position."""
 
-    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.5, 1.0])
-    @pytest.mark.parametrize("rows, shots", [(6, 1), (6, 64), (6, 200), (300, 200)])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("rows, shots", [(6, 1), (6, 200), (300, 200)])
     def test_matches_nonzero_of_unpacked_bits(self, density, rows, shots):
         bits = np.random.default_rng(shots).random((rows, shots)) < density
         rows, cols = _hit_lanes(pack_rows(bits))
