@@ -93,6 +93,7 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
+    store.close()
 
 
 if __name__ == "__main__":

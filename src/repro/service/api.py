@@ -208,8 +208,10 @@ class ServiceAPIServer(ThreadingHTTPServer):
     """An :class:`http.server.ThreadingHTTPServer` bound to one job store.
 
     Threading matters: long-polling watchers park their handler thread, and
-    must not block fresh submissions.  Every handler opens its own SQLite
-    connection (see :class:`JobStore`), so concurrent threads are safe.
+    must not block fresh submissions.  Handlers share the store's one held
+    connection, taking turns on its lock one operation at a time (see
+    :class:`JobStore`), so concurrent threads are safe and a parked poll
+    holds the lock only while it reads.
     """
 
     daemon_threads = True
@@ -266,6 +268,7 @@ def main(argv=None) -> None:
         pass
     finally:
         server.server_close()
+        store.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -281,6 +281,8 @@ def main(argv=None) -> None:
             worker.run_forever(args.poll)
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
+    finally:
+        store.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -25,6 +25,23 @@ a process dies:
   its lease — or whose job was cancelled — is told so and backs off instead
   of interleaving stale writes with the new owner's.
 
+Each :class:`JobStore` holds one SQLite connection, opened on first use
+and kept until :meth:`JobStore.close`.  A re-entrant lock is held for every
+whole operation, so the API's request threads and an in-process worker
+thread take turns on it and never interleave transactions; other processes
+(and other stores on the same file) coordinate through SQLite's own
+locking.  No operation leaves the connection inside a transaction: a block
+that raises is rolled back before the lock is released.  No connection
+crosses a fork either: a fork waits for every store's current operation
+and closes its connection first, so parent and child each reopen their own
+(see :func:`_park_stores`).
+
+Durability: a committed transition survives the death of any process
+(WAL with ``synchronous=NORMAL``).  A power loss or OS crash may roll back
+the last few commits — never corrupt the file or split a transition.
+Commits are checkpointed from the WAL into the main file as the WAL grows
+and when the last connection closes (:meth:`JobStore.close`).
+
 States: ``queued → running → done | failed | cancelled`` (re-dispatch takes
 ``running → running`` with a new owner).  A *follower* — a job coalesced
 into an identical in-flight primary — rests in ``queued`` with
@@ -35,9 +52,12 @@ does (:mod:`repro.service.coalesce`).
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import threading
 import time
 import uuid
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,6 +172,10 @@ class JobStore:
     def __init__(self, path, *, now=time.time):
         self.path = str(path)
         self._now = now
+        self._lock = threading.RLock()
+        self._conn: Optional[sqlite3.Connection] = None
+        self._parked = False  # its lock is held across a fork
+        _STORES.add(self)
         parent = Path(self.path).parent
         if str(parent) not in ("", "."):
             parent.mkdir(parents=True, exist_ok=True)
@@ -161,21 +185,52 @@ class JobStore:
     # ------------------------------------------------------------------
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        """A fresh connection per operation: thread- and process-safe.
+        """The store's held connection, locked for one whole operation.
+
+        The connection is opened on first use and kept: closing the last
+        connection on a WAL file checkpoints it with an fsync, which costs
+        more than the operation itself.  The re-entrant lock is held for
+        the whole ``with`` block, so threads never interleave transactions
+        on the shared connection.  A block that raised before its
+        ``COMMIT`` is rolled back here, so the connection never carries an
+        open transaction into the next operation.
 
         WAL journaling plus a generous busy timeout lets API threads and
         worker processes hammer the same file; ``isolation_level=None``
         gives explicit transaction control (``BEGIN IMMEDIATE`` where a
-        read-then-write must be atomic).
+        read-then-write must be atomic) and keeps reads outside any
+        transaction, so each statement sees the latest commit.
         """
-        conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            yield conn
-        finally:
-            conn.close()
+        with self._lock:
+            if self._conn is None:
+                conn = sqlite3.connect(self.path, timeout=30.0,
+                                       isolation_level=None,
+                                       check_same_thread=False)
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA busy_timeout=30000")
+                self._conn = conn
+            conn = self._conn
+            try:
+                yield conn
+            finally:
+                if conn.in_transaction:
+                    # Undo the half-done transaction, or drop the connection
+                    # (closing rolls back) if even that fails.
+                    try:
+                        conn.execute("ROLLBACK")
+                    except sqlite3.Error:
+                        self._conn = None
+                        conn.close()
+
+    def close(self) -> None:
+        """Close the held connection (idempotent); the next operation
+        reopens it.  Closing the last connection on the file checkpoints
+        the WAL into the database, so call this on shutdown."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     @staticmethod
     def _select_job(conn, job_id: str) -> Optional[Job]:
@@ -199,20 +254,16 @@ class JobStore:
         now = self._now()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            try:
-                primary = None
-                if content_key is not None:
-                    primary = coalesce.find_live_primary(conn, content_key)
-                conn.execute(
-                    "INSERT INTO jobs (id, kind, spec, content_key, state,"
-                    " submitted_at, coalesced_into)"
-                    " VALUES (?, ?, ?, ?, 'queued', ?, ?)",
-                    (job_id, kind, json.dumps(spec, sort_keys=True),
-                     content_key, now, primary))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            primary = None
+            if content_key is not None:
+                primary = coalesce.find_live_primary(conn, content_key)
+            conn.execute(
+                "INSERT INTO jobs (id, kind, spec, content_key, state,"
+                " submitted_at, coalesced_into)"
+                " VALUES (?, ?, ?, ?, 'queued', ?, ?)",
+                (job_id, kind, json.dumps(spec, sort_keys=True),
+                 content_key, now, primary))
+            conn.execute("COMMIT")
             return self._select_job(conn, job_id)
 
     # ------------------------------------------------------------------
@@ -243,19 +294,15 @@ class JobStore:
         now = self._now()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = conn.execute(
-                    "UPDATE jobs SET state = 'running', worker_id = ?,"
-                    " lease_until = ?, attempts = attempts + 1,"
-                    " started_at = COALESCE(started_at, ?), partial = NULL"
-                    " WHERE id = ? AND coalesced_into IS NULL AND"
-                    " (state = 'queued' OR"
-                    "  (state = 'running' AND lease_until < ?))",
-                    (worker_id, now + lease_seconds, now, job_id, now))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            cur = conn.execute(
+                "UPDATE jobs SET state = 'running', worker_id = ?,"
+                " lease_until = ?, attempts = attempts + 1,"
+                " started_at = COALESCE(started_at, ?), partial = NULL"
+                " WHERE id = ? AND coalesced_into IS NULL AND"
+                " (state = 'queued' OR"
+                "  (state = 'running' AND lease_until < ?))",
+                (worker_id, now + lease_seconds, now, job_id, now))
+            conn.execute("COMMIT")
             if cur.rowcount != 1:
                 return None
             return self._select_job(conn, job_id)
@@ -279,31 +326,27 @@ class JobStore:
         now = self._now()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = conn.execute(
-                    "SELECT state, worker_id FROM jobs WHERE id = ?",
-                    (job_id,)).fetchone()
-                if row is None:
-                    status = "lost"
-                elif row[0] == "cancelled":
-                    status = "cancelled"
-                elif row[0] != "running" or row[1] != worker_id:
-                    status = "lost"
-                else:
-                    status = "ok"
-                    conn.execute(
-                        "UPDATE jobs SET lease_until = ?,"
-                        " partial = COALESCE(?, partial) WHERE id = ?",
-                        (now + lease_seconds,
-                         None if partial is None
-                         else json.dumps(partial, sort_keys=True),
-                         job_id))
-                    if event is not None:
-                        self._append_event(conn, job_id, now, event)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            row = conn.execute(
+                "SELECT state, worker_id FROM jobs WHERE id = ?",
+                (job_id,)).fetchone()
+            if row is None:
+                status = "lost"
+            elif row[0] == "cancelled":
+                status = "cancelled"
+            elif row[0] != "running" or row[1] != worker_id:
+                status = "lost"
+            else:
+                status = "ok"
+                conn.execute(
+                    "UPDATE jobs SET lease_until = ?,"
+                    " partial = COALESCE(?, partial) WHERE id = ?",
+                    (now + lease_seconds,
+                     None if partial is None
+                     else json.dumps(partial, sort_keys=True),
+                     job_id))
+                if event is not None:
+                    self._append_event(conn, job_id, now, event)
+            conn.execute("COMMIT")
         return status
 
     @staticmethod
@@ -332,22 +375,18 @@ class JobStore:
                                                              sort_keys=True)
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            try:
-                cur = conn.execute(
-                    "UPDATE jobs SET state = ?, result = ?, error = ?,"
-                    " finished_at = ?, lease_until = NULL"
-                    " WHERE id = ? AND state = 'running' AND worker_id = ?",
-                    (state, result_json, error, now, job_id, worker_id))
-                owned = cur.rowcount == 1
-                if owned:
-                    self._append_event(conn, job_id, now,
-                                       {"type": state, "job": job_id})
-                    coalesce.complete_followers(conn, job_id, state,
-                                                result_json, error, now)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            cur = conn.execute(
+                "UPDATE jobs SET state = ?, result = ?, error = ?,"
+                " finished_at = ?, lease_until = NULL"
+                " WHERE id = ? AND state = 'running' AND worker_id = ?",
+                (state, result_json, error, now, job_id, worker_id))
+            owned = cur.rowcount == 1
+            if owned:
+                self._append_event(conn, job_id, now,
+                                   {"type": state, "job": job_id})
+                coalesce.complete_followers(conn, job_id, state,
+                                            result_json, error, now)
+            conn.execute("COMMIT")
         return owned
 
     # ------------------------------------------------------------------
@@ -365,24 +404,20 @@ class JobStore:
         now = self._now()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            try:
-                job = self._select_job(conn, job_id)
-                if job is None or job.is_terminal:
-                    conn.execute("COMMIT")
-                    return None if job is None else job.state
-                conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', finished_at = ?,"
-                    " lease_until = NULL WHERE id = ?", (now, job_id))
-                if job.coalesced_into is None:
-                    # Followers have no event stream of their own (they read
-                    # their primary's), so only primaries log the event.
-                    self._append_event(conn, job_id, now,
-                                       {"type": "cancelled", "job": job_id})
-                coalesce.promote_followers(conn, job_id)
+            job = self._select_job(conn, job_id)
+            if job is None or job.is_terminal:
                 conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+                return None if job is None else job.state
+            conn.execute(
+                "UPDATE jobs SET state = 'cancelled', finished_at = ?,"
+                " lease_until = NULL WHERE id = ?", (now, job_id))
+            if job.coalesced_into is None:
+                # Followers have no event stream of their own (they read
+                # their primary's), so only primaries log the event.
+                self._append_event(conn, job_id, now,
+                                   {"type": "cancelled", "job": job_id})
+            coalesce.promote_followers(conn, job_id)
+            conn.execute("COMMIT")
         return "cancelled"
 
     # ------------------------------------------------------------------
@@ -427,3 +462,37 @@ class JobStore:
         out = {state: 0 for state in JOB_STATES}
         out.update({state: n for state, n in rows})
         return out
+
+
+# ----------------------------------------------------------------------
+# Fork safety
+# ----------------------------------------------------------------------
+#: Every live store in this process.
+_STORES: "weakref.WeakSet[JobStore]" = weakref.WeakSet()
+
+
+def _park_stores() -> None:
+    """Before a fork: wait out every operation and close every connection.
+
+    An SQLite connection must not cross a fork.  SQLite keeps the file
+    locks a process holds in process memory, so a child that inherits an
+    open connection takes no real lock with a connection of its own; once
+    every other process closes, the last one checkpoints and deletes the
+    WAL under the child and the child's later commits are lost.
+    """
+    for store in list(_STORES):
+        store._lock.acquire()
+        store._parked = True
+        store.close()
+
+
+def _unpark_stores() -> None:
+    """After a fork, in parent and child: release what parking took."""
+    for store in list(_STORES):
+        if store._parked:
+            store._parked = False
+            store._lock.release()
+
+
+os.register_at_fork(before=_park_stores, after_in_parent=_unpark_stores,
+                    after_in_child=_unpark_stores)

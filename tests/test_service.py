@@ -15,6 +15,8 @@ Covers the subsystem's load-bearing guarantees:
   records) to calling the engine directly.
 """
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -305,6 +307,99 @@ class TestJobStore:
         assert counts["queued"] == 1 and counts["running"] == 1
 
 
+    def test_failed_submit_leaves_no_row_and_no_transaction(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.db")
+        with pytest.raises(TypeError):
+            store.submit("ler", {"kind": "ler", "unencodable": {1, 2}}, None)
+        assert sum(store.counts().values()) == 0
+        assert not store._conn.in_transaction
+        job_id = self.submit(store)
+        assert store.get(job_id).state == "queued"
+
+    def test_forked_child_opens_its_own_connection(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.db")
+        first = self.submit(store, ler_body(seed=1))
+        second = self.submit(store, ler_body(seed=2))
+        ctx = multiprocessing.get_context("fork")
+        claimed, parent_closed = ctx.Event(), ctx.Event()
+
+        def child():
+            fresh = store._conn is None
+            ok = store.try_claim(first, "child", 60) is not None
+            claimed.set()
+            # The parent closes its connection meanwhile; a child without
+            # real locks of its own would see its WAL deleted under it and
+            # lose this second commit.
+            parent_closed.wait(30)
+            ok = ok and store.try_claim(second, "child", 60) is not None
+            store.close()
+            os._exit(0 if fresh and ok else 1)
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        assert claimed.wait(30)
+        assert store.get(first).worker_id == "child"
+        store.close()
+        parent_closed.set()
+        proc.join(30)
+        assert proc.exitcode == 0
+        assert store.get(second).worker_id == "child"
+        third = self.submit(store, ler_body(seed=3))
+        assert store.try_claim(third, "parent", 60) is not None
+
+    def test_two_stores_on_one_file_see_each_others_commits(self, tmp_path):
+        # Stand-ins for the API process and a worker process.
+        api = JobStore(tmp_path / "jobs.db")
+        worker = JobStore(tmp_path / "jobs.db")
+        job_id = self.submit(api)
+        assert [j.id for j in worker.runnable_jobs()] == [job_id]
+        assert worker.try_claim(job_id, "w1", 60) is not None
+        assert api.get(job_id).state == "running"
+        assert worker.record_progress(
+            job_id, "w1", 60, event={"type": "wave", "wave": 0}) == "ok"
+        assert [e["type"] for e in api.events(job_id)] == ["wave"]
+        assert worker.finish(job_id, "w1", {"ok": 1})
+        assert api.get(job_id).result == {"ok": 1}
+        assert api.cancel(job_id) == "done"
+        assert worker.counts()["done"] == 1
+
+    def test_racing_threads_claim_each_job_exactly_once(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.db")
+        job_ids = [self.submit(store, ler_body(seed=s)) for s in range(20)]
+        start = threading.Barrier(8)
+        wins = {}
+
+        def claim_all(worker_id):
+            start.wait()
+            for job_id in job_ids:
+                if store.try_claim(job_id, worker_id, 60) is not None:
+                    wins.setdefault(job_id, []).append(worker_id)
+
+        threads = [threading.Thread(target=claim_all, args=(f"w{i}",))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert sorted(wins) == sorted(job_ids)
+        for job_id, winners in wins.items():
+            job = store.get(job_id)
+            assert winners == [job.worker_id]
+            assert (job.state, job.attempts) == ("running", 1)
+
+    def test_close_checkpoints_and_is_idempotent(self, tmp_path):
+        path = tmp_path / "jobs.db"
+        store = JobStore(path)
+        job_id = self.submit(store)
+        wal = tmp_path / "jobs.db-wal"
+        assert wal.exists() and wal.stat().st_size > 0
+        store.close()
+        assert not wal.exists() or wal.stat().st_size == 0
+        store.close()
+        assert store.get(job_id).state == "queued"  # reopened
+        store.close()
+
+
 # ----------------------------------------------------------------------
 # Coalescing: one execution, every submitter served
 # ----------------------------------------------------------------------
@@ -549,6 +644,7 @@ def http_service(tmp_path):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+        store.close()
 
 
 class TestHttpService:
