@@ -357,16 +357,12 @@ _TASK_MEMO: Dict[str, tuple] = {}
 _TASK_MEMO_LOCK = threading.Lock()
 
 
-def _task_memo_limit(env=None) -> int:
-    """Warm task contexts kept per worker (``REPRO_TASK_MEMO``, default 16).
-
-    Cross-task interleaving rotates shards of every pending sweep task
-    through each worker, so the memo must hold at least as many contexts as
-    the sweep has concurrent tasks — otherwise every shard rebuilds the
-    circuit/DEM/decoder it just evicted.  Raise this for very large sweeps
-    (cost is memory per worker process: one pipeline + caches per entry).
-    """
-    return env_int("REPRO_TASK_MEMO", 16, minimum=1, env=env)
+#: Warm task contexts kept per worker.  Cross-task interleaving rotates
+#: shards of every pending sweep task through each worker, so the memo must
+#: hold at least as many contexts as the sweep has concurrent tasks, or every
+#: shard rebuilds the circuit/DEM/decoder it just evicted.  Each entry costs
+#: one pipeline and its caches of worker memory.
+_TASK_MEMO_LIMIT = 16
 
 
 def _context_for(task: LerPointTask) -> tuple:
@@ -375,7 +371,7 @@ def _context_for(task: LerPointTask) -> tuple:
     The pipeline carries the circuit, the decoder and its geodesic/syndrome
     caches, keyed by the task's DEM-determining content hash; scheduler waves
     that re-enter the same task decode against warm caches.  The memo is
-    LRU-bounded by :func:`_task_memo_limit`.
+    LRU-bounded by :data:`_TASK_MEMO_LIMIT`.
     """
     key = task.content_hash()
     with _TASK_MEMO_LOCK:
@@ -392,9 +388,8 @@ def _context_for(task: LerPointTask) -> tuple:
             # arm _run_ler_shard to persist it back after each shard.
             pipeline.attach_memo_store(memo_store, key, task.decoder)
         ctx = (pipeline, len(dem))
-    limit = _task_memo_limit()
     with _TASK_MEMO_LOCK:
-        while len(_TASK_MEMO) >= limit:
+        while len(_TASK_MEMO) >= _TASK_MEMO_LIMIT:
             _TASK_MEMO.pop(next(iter(_TASK_MEMO)))
         _TASK_MEMO[key] = ctx  # (re-)insert at the recent end
     return ctx

@@ -4,7 +4,7 @@ This subpackage is the in-repo replacement for the Stim simulator used by the
 original paper (see the README's opening paragraph).
 """
 
-from .circuit import Circuit, Instruction, MeasurementTracker
+from .circuit import Circuit, Instruction
 from .dem import DemError, DetectorErrorModel, build_detector_error_model
 from .packed import (
     PackedDetectorSamples,
@@ -12,12 +12,10 @@ from .packed import (
     noiseless_deterministic,
 )
 from .pauli import PauliString, batch_commutes, commutes, pauli_product
-from .tableau import TableauSimulator
 
 __all__ = [
     "Circuit",
     "Instruction",
-    "MeasurementTracker",
     "DemError",
     "DetectorErrorModel",
     "build_detector_error_model",
@@ -28,5 +26,4 @@ __all__ = [
     "pauli_product",
     "commutes",
     "batch_commutes",
-    "TableauSimulator",
 ]

@@ -25,21 +25,20 @@ Annotations
 
     ``TICK`` - a no-op time boundary, useful for debugging and statistics.
 
-The builder interface (:meth:`Circuit.append`, :class:`MeasurementTracker`)
-keeps the representation simple while making it hard to produce an
-inconsistent circuit: detectors and observables are validated against the
+The builder interface (:meth:`Circuit.append`) keeps the representation
+simple while making it hard to produce an inconsistent circuit: qubit targets
+must be non-negative, and detectors and observables are validated against the
 number of measurements actually present.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "Instruction",
     "Circuit",
-    "MeasurementTracker",
     "GATE_SET",
     "NOISE_CHANNELS",
     "SINGLE_QUBIT_GATES",
@@ -56,15 +55,11 @@ NOISE_CHANNELS = frozenset(
     {"X_ERROR", "Z_ERROR", "Y_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"}
 )
 ANNOTATIONS = frozenset({"DETECTOR", "OBSERVABLE_INCLUDE", "TICK"})
+# Instructions whose targets are qubit indices.
+_QUBIT_INSTRUCTIONS = (SINGLE_QUBIT_GATES | TWO_QUBIT_GATES | MEASUREMENT_GATES
+                       | RESET_GATES | NOISE_CHANNELS)
 
-GATE_SET = (
-    SINGLE_QUBIT_GATES
-    | TWO_QUBIT_GATES
-    | MEASUREMENT_GATES
-    | RESET_GATES
-    | NOISE_CHANNELS
-    | ANNOTATIONS
-)
+GATE_SET = _QUBIT_INSTRUCTIONS | ANNOTATIONS
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,8 @@ class Instruction:
         if self.name in TWO_QUBIT_GATES or self.name == "DEPOLARIZE2":
             if len(self.targets) % 2 != 0:
                 raise ValueError(f"{self.name} requires an even number of targets")
+        if self.name in _QUBIT_INSTRUCTIONS and self.targets and min(self.targets) < 0:
+            raise ValueError(f"{self.name} has a negative qubit target {min(self.targets)}")
         if self.name in NOISE_CHANNELS and not 0.0 <= self.arg <= 1.0:
             raise ValueError(f"noise probability {self.arg} outside [0, 1]")
 
@@ -113,6 +110,9 @@ class Circuit:
         self.num_measurements = 0
         self.num_detectors = 0
         self._observable_indices: set[int] = set()
+        # fuse -> compiled sampler program (repro.stabilizer.packed), shared
+        # by the DEM builder and every sampler; append clears it.
+        self._programs: dict = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -124,8 +124,7 @@ class Circuit:
         targets = tuple(int(t) for t in targets)
         inst = Instruction(name, targets, arg)
 
-        if name in (SINGLE_QUBIT_GATES | TWO_QUBIT_GATES | MEASUREMENT_GATES
-                    | RESET_GATES | NOISE_CHANNELS):
+        if name in _QUBIT_INSTRUCTIONS:
             if targets:
                 self.num_qubits = max(self.num_qubits, max(targets) + 1)
             if name in TWO_QUBIT_GATES or name == "DEPOLARIZE2":
@@ -153,6 +152,7 @@ class Circuit:
             self._observable_indices.add(int(arg))
 
         self.instructions.append(inst)
+        self._programs.clear()
         return inst
 
     @property
@@ -238,36 +238,3 @@ class Circuit:
             f"measurements={self.num_measurements} detectors={self.num_detectors} "
             f"observables={self.num_observables}>"
         )
-
-
-@dataclass
-class MeasurementTracker:
-    """Helps circuit builders remember where each labelled measurement landed.
-
-    Builders record measurements under an arbitrary hashable key (for surface
-    codes: ``(ancilla_coordinate, round_index)``) and later retrieve the
-    absolute measurement-record index to define detectors and observables.
-    """
-
-    index_of: Dict[object, int] = field(default_factory=dict)
-    history: Dict[object, List[int]] = field(default_factory=dict)
-    total: int = 0
-
-    def record(self, key: object) -> int:
-        """Register the next measurement under ``key`` and return its index."""
-        idx = self.total
-        self.total += 1
-        self.index_of[key] = idx
-        self.history.setdefault(key, []).append(idx)
-        return idx
-
-    def get(self, key: object) -> int:
-        """Absolute index of the most recent measurement recorded under ``key``."""
-        return self.index_of[key]
-
-    def has(self, key: object) -> bool:
-        return key in self.index_of
-
-    def all(self, key: object) -> List[int]:
-        """All measurement indices ever recorded under ``key``."""
-        return list(self.history.get(key, []))

@@ -11,18 +11,22 @@ Pauli-frame propagation is linear over GF(2): the detector signature of a
 product of Pauli faults is the XOR of the signatures of its factors.  The
 builder runs as whole-array numpy in seven steps:
 
-1. **Enumerate from templates.**  Every noise channel expands per target
-   (per pair for ``DEPOLARIZE2``) into fixed *basis faults* - single-qubit X
-   or Z faults at that point of the circuit - and Pauli *components*, each a
-   probability and up to four member basis faults: ``X_ERROR`` / ``Z_ERROR``
-   1 fault and 1 component, ``Y_ERROR`` 2 and 1, ``DEPOLARIZE1`` 2 and 3
-   (X, Y, Z at ``p / 3``), ``DEPOLARIZE2`` 4 and the 15 of
+1. **Enumerate from templates.**  The builder reads the circuit through its
+   fused sampler program (:func:`~repro.stabilizer.packed._compile_program`,
+   memoised on the circuit and shared with the sampler).  Every noise-channel
+   op expands per row (per target, per pair for ``dep2``) into fixed *basis
+   faults* - single-qubit X or Z faults at that point of the program - and
+   Pauli *components*, each a probability and up to four member basis faults:
+   ``xerr`` / ``zerr`` 1 fault and 1 component, ``yerr`` 2 and 1, ``dep1``
+   2 and 3 (X, Y, Z at ``p / 3``), ``dep2`` 4 and the 15 of
    :data:`_DEP2_COMPONENTS` at ``p / 15``.  One ``np.repeat`` expansion over
-   all channels yields the fault and component arrays in circuit order.
-2. **Propagate** all basis faults forward through the circuit in one pass,
-   one bit per fault packed into ``uint64`` words.  Runs of adjacent gates of
-   one kind apply as one fancy-indexed update per set of disjoint qubits, and
-   faults are injected just before the next gate that moves the frame.
+   all rows yields the fault and component arrays in circuit order.
+2. **Propagate** all basis faults forward by running the same program on the
+   fault axis: one bit per fault packed into ``uint64`` words, every
+   draw-free op applied by the sampler's own frame kernel
+   (:func:`~repro.stabilizer.packed._apply_frame_op`), and each op's faults
+   injected just before the next op that reads or moves the frame.  The DEM
+   and the Monte-Carlo sampler therefore give the circuit one meaning.
 3. **Pack one signature row per basis fault** (plus an all-zero row that pads
    short member lists): detector bits in the leading words, observable bits
    in the trailing ones.
@@ -58,6 +62,7 @@ import numpy as np
 
 from .bitpack import WORD_BITS, num_words, pack_rows, popcount_rows, unpack_bits
 from .circuit import Circuit
+from .packed import _apply_frame_op, _circuit_program
 
 __all__ = ["DemError", "DetectorErrorModel", "build_detector_error_model"]
 
@@ -134,204 +139,119 @@ for _code in range(1, 16):
     _DEP2_COMPONENTS.append(tuple(members))
 
 
-# Template of one target group (a qubit, or a pair for DEPOLARIZE2) per
-# channel: (targets per group, basis faults as (target slot, is Z),
-# probability divisor, member fault slots of each component).
+# Template of one target group (a qubit, or a pair for ``dep2``) per
+# noise-channel op kind of the compiled program: (basis faults as (target
+# slot, is Z), probability divisor, member fault slots of each component).
 _CHANNELS = {
-    "X_ERROR": (1, ((0, False),), 1, ((0,),)),
-    "Z_ERROR": (1, ((0, True),), 1, ((0,),)),
-    "Y_ERROR": (1, ((0, False), (0, True)), 1, ((0, 1),)),
-    "DEPOLARIZE1": (1, ((0, False), (0, True)), 3, ((0,), (0, 1), (1,))),  # X, Y, Z
-    "DEPOLARIZE2": (2, ((0, False), (0, True), (1, False), (1, True)), 15,
-                    tuple(_DEP2_COMPONENTS)),
+    "xerr": (((0, False),), 1, ((0,),)),
+    "zerr": (((0, True),), 1, ((0,),)),
+    "yerr": (((0, False), (0, True)), 1, ((0, 1),)),
+    "dep1": (((0, False), (0, True)), 3, ((0,), (0, 1), (1,))),  # X, Y, Z
+    "dep2": (((0, False), (0, True), (1, False), (1, True)), 15,
+             tuple(_DEP2_COMPONENTS)),
 }
-# name -> (kind, targets per group); then per-kind template tables.
-_KIND = {name: (kind, c[0]) for kind, (name, c) in enumerate(_CHANNELS.items())}
-_WIDTH = np.array([c[0] for c in _CHANNELS.values()])
-_NUM_FAULTS = np.array([len(c[1]) for c in _CHANNELS.values()])
-_DIVISOR = np.array([float(c[2]) for c in _CHANNELS.values()])
-_NUM_COMPONENTS = np.array([len(c[3]) for c in _CHANNELS.values()])
+# op kind -> template row; then per-row template tables.
+_KIND = {kind: row for row, kind in enumerate(_CHANNELS)}
+_NUM_FAULTS = np.array([len(c[0]) for c in _CHANNELS.values()])
+_DIVISOR = np.array([float(c[1]) for c in _CHANNELS.values()])
+_NUM_COMPONENTS = np.array([len(c[2]) for c in _CHANNELS.values()])
 _SLOT_TARGET = np.zeros((len(_CHANNELS), 4), dtype=np.int64)
 _SLOT_Z = np.zeros((len(_CHANNELS), 4), dtype=bool)
 _MEMBERS = np.full((len(_CHANNELS), 15, 4), -1, dtype=np.int64)  # -1 pads
-for _kind, (_, _faults, _, _components) in enumerate(_CHANNELS.values()):
+for _kind, (_faults, _, _components) in enumerate(_CHANNELS.values()):
     for _slot, (_target, _is_z) in enumerate(_faults):
         _SLOT_TARGET[_kind, _slot] = _target
         _SLOT_Z[_kind, _slot] = _is_z
     for _c, _members in enumerate(_components):
         _MEMBERS[_kind, _c, :len(_members)] = _members
 
-# Instructions that move the Pauli frame; every other one leaves it alone.
-_FRAME_OPS = frozenset({"CX", "CZ", "H", "S", "R", "RX", "M", "MX", "MR"})
 
-
-def _enumerate_basis_faults(circuit: Circuit) -> Tuple[np.ndarray, ...]:
-    """Expand every noise channel into basis faults and Pauli components.
+def _enumerate_basis_faults(ops: List[Tuple[str, int, tuple]]) -> Tuple[np.ndarray, ...]:
+    """Expand every noise-channel op into basis faults and Pauli components.
 
     Returns
     -------
-    fault_inst, fault_qubit, fault_is_z:
-        Per basis fault (its position is its id): the index of its
-        instruction, its qubit, and whether it is a Z (else an X) fault.
-        Ids follow circuit order, so ``fault_inst`` is non-decreasing.
+    fault_step, fault_qubit, fault_is_z:
+        Per basis fault (its position is its id): the index of its op, its
+        qubit, and whether it is a Z (else an X) fault.  Ids follow program
+        order, so ``fault_step`` is non-decreasing.
     comp_p:
         Probability of each Pauli component of every channel.
     comp_members:
         ``(4, components)`` basis-fault ids of each component, padded with
         the id one past the last fault.
     """
-    kinds: List[int] = []
-    probs: List[float] = []
-    insts: List[int] = []
-    groups: List[int] = []
-    targets: List[int] = []
-    for idx, inst in enumerate(circuit.instructions):
-        kind = _KIND.get(inst.name)
-        if kind is None or inst.arg == 0.0:
-            continue
-        kinds.append(kind[0])
-        probs.append(inst.arg)
-        insts.append(idx)
-        groups.append(len(inst.targets) // kind[1])
-        targets.extend(inst.targets)
-    groups_arr = np.array(groups, dtype=np.int64)
-    g_kind = np.repeat(np.array(kinds, dtype=np.int64), groups_arr)
-    g_first = np.cumsum(_WIDTH[g_kind]) - _WIDTH[g_kind]
+    kinds = [np.zeros(0, dtype=np.int64)]
+    steps = [np.zeros(0, dtype=np.int64)]
+    probs = [np.zeros(0)]
+    pairs = [np.zeros((0, 2), dtype=np.intp)]
+    for step, (kind, _first, data) in enumerate(ops):
+        if kind in _KIND:
+            # One row per target group: (qubit, qubit) or the dep2 pair.
+            a, b, p = data if kind == "dep2" else (data[0], data[0], data[1])
+            kinds.append(np.full(p.size, _KIND[kind]))
+            steps.append(np.full(p.size, step))
+            probs.append(p)
+            pairs.append(np.column_stack((a, b)))
+    g_p = np.concatenate(probs)
+    live = g_p > 0.0
+    g_p = g_p[live]
+    g_kind = np.concatenate(kinds)[live]
+    g_step = np.concatenate(steps)[live]
+    g_pair = np.concatenate(pairs)[live]
 
     per_group = _NUM_FAULTS[g_kind]
     g_base = np.cumsum(per_group) - per_group
     f_group = np.repeat(np.arange(g_kind.size), per_group)
     f_kind = g_kind[f_group]
     f_slot = np.arange(f_group.size) - g_base[f_group]
-    fault_qubit = np.array(targets, dtype=np.int64)[
-        g_first[f_group] + _SLOT_TARGET[f_kind, f_slot]]
+    fault_qubit = g_pair[f_group, _SLOT_TARGET[f_kind, f_slot]]
     fault_is_z = _SLOT_Z[f_kind, f_slot]
-    fault_inst = np.repeat(np.array(insts, dtype=np.int64), groups_arr)[f_group]
 
     per_group = _NUM_COMPONENTS[g_kind]
     c_group = np.repeat(np.arange(g_kind.size), per_group)
     c_kind = g_kind[c_group]
     c_slot = np.arange(c_group.size) - (np.cumsum(per_group) - per_group)[c_group]
-    comp_p = np.repeat(np.array(probs, dtype=np.float64), groups_arr)[c_group] / _DIVISOR[c_kind]
+    comp_p = g_p[c_group] / _DIVISOR[c_kind]
     slots = _MEMBERS[c_kind, c_slot].T
     comp_members = np.where(slots < 0, f_group.size, g_base[c_group] + slots)
-    return fault_inst, fault_qubit, fault_is_z, comp_p, comp_members
-
-
-def _disjoint_runs(targets: List[int], width: int) -> List[List[int]]:
-    """Split gate targets into runs of whole groups on pairwise distinct qubits.
-
-    Gates of one run commute, so one fancy-indexed update applies them all;
-    applying the runs in order keeps the sequential semantics of repeated
-    qubits.
-    """
-    if len(set(targets)) == len(targets):
-        return [targets]
-    runs: List[List[int]] = [[]]
-    seen: set[int] = set()
-    for i in range(0, len(targets), width):
-        group = targets[i:i + width]
-        if not seen.isdisjoint(group):
-            runs.append([])
-            seen = set()
-        runs[-1].extend(group)
-        seen.update(group)
-    return runs
-
-
-def _xor_of_rows(rows: np.ndarray, groups: List[Tuple[int, ...]]) -> np.ndarray:
-    """XOR of the listed rows, one result row per group.
-
-    The last row of ``rows`` must be zero: an empty group reads it.
-    """
-    if not groups:
-        return np.zeros((0, rows.shape[1]), dtype=rows.dtype)
-    flat: List[int] = []
-    starts: List[int] = []
-    for group in groups:
-        starts.append(len(flat))
-        flat.extend(group or (rows.shape[0] - 1,))
-    return np.bitwise_xor.reduceat(rows[flat], starts, axis=0)
+    return g_step[f_group], fault_qubit, fault_is_z, comp_p, comp_members
 
 
 def _propagate_basis_faults(
-    circuit: Circuit, fault_inst: np.ndarray, fault_qubit: np.ndarray,
-    fault_is_z: np.ndarray,
+    circuit: Circuit, ops: List[Tuple[str, int, tuple]], fault_step: np.ndarray,
+    fault_qubit: np.ndarray, fault_is_z: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Propagate every basis fault through the circuit in one packed pass.
+    """Run the compiled program on the fault axis, one bit per basis fault.
 
     Returns ``uint64`` word matrices ``det`` of shape ``(num_detectors, W)``
     and ``obs`` of shape ``(num_observables, W)``; bit ``f`` of a row (word
     ``f // 64``, little-endian) is set when basis fault ``f`` flips it.
     """
     n = circuit.num_qubits
-    f = fault_inst.size
+    f = fault_step.size
     fw = num_words(f)
     # X frame rows then Z frame rows; one flat index per fault injects it.
     frame = np.zeros((2 * n, fw), dtype=np.uint64)
     x, z = frame[:n], frame[n:]
     flat = (fault_qubit + n * fault_is_z) * fw + np.arange(f) // WORD_BITS
     bit = np.left_shift(np.uint64(1), (np.arange(f) % WORD_BITS).astype(np.uint64))
-    # One spare zero row at the end for empty detectors.
-    meas = np.zeros((circuit.num_measurements + 1, fw), dtype=np.uint64)
+    meas = np.zeros((circuit.num_measurements, fw), dtype=np.uint64)
+    det = np.zeros((circuit.num_detectors, fw), dtype=np.uint64)
+    obs = np.zeros((circuit.num_observables, fw), dtype=np.uint64)
 
-    # Adjacent gates of one kind merge into a single step.
-    steps: List[list] = []  # [name, targets, first index, last index]
-    detectors: List[Tuple[int, ...]] = []
-    observables: List[Tuple[int, Tuple[int, ...]]] = []
-    for idx, inst in enumerate(circuit.instructions):
-        name = inst.name
-        if name in _FRAME_OPS:
-            if steps and steps[-1][0] == name and steps[-1][3] == idx - 1:
-                steps[-1][1].extend(inst.targets)
-                steps[-1][3] = idx
-            else:
-                steps.append([name, list(inst.targets), idx, idx])
-        elif name == "DETECTOR":
-            detectors.append(inst.targets)
-        elif name == "OBSERVABLE_INCLUDE":
-            observables.append((int(inst.arg), inst.targets))
-
+    # Faults happen where their channel sits: inject every earlier op's
+    # faults just before the next op that reads or moves the frame.
+    due = np.searchsorted(fault_step, np.arange(len(ops)))
     injected = 0
-    m_idx = 0
-    for name, targets, first, _ in steps:
-        # Inject the faults of every channel before this step: the fault
-        # happens where its channel sits.
-        upto = int(np.searchsorted(fault_inst, first))
+    for step, (kind, _first, data) in enumerate(ops):
+        if kind in _KIND or kind == "nop":
+            continue
+        upto = int(due[step])
         if upto > injected:
             np.bitwise_or.at(frame.reshape(-1), flat[injected:upto], bit[injected:upto])
             injected = upto
-        for run in _disjoint_runs(targets, 2 if name in ("CX", "CZ") else 1):
-            t = np.array(run, dtype=np.int64)
-            if name == "CX":
-                c, tt = t[0::2], t[1::2]
-                x[tt] ^= x[c]
-                z[c] ^= z[tt]
-            elif name == "CZ":
-                a, b = t[0::2], t[1::2]
-                z[a] ^= x[b]
-                z[b] ^= x[a]
-            elif name == "H":
-                x[t], z[t] = z[t], x[t]
-            elif name == "S":
-                z[t] ^= x[t]
-            elif name in ("R", "RX"):
-                x[t] = 0
-                z[t] = 0
-            else:  # M, MX, MR
-                meas[m_idx:m_idx + t.size] = (z if name == "MX" else x)[t]
-                m_idx += t.size
-                if name == "MR":
-                    x[t] = 0
-                    z[t] = 0
-
-    # Measurement rows are final once written, so detectors and observables
-    # read them after the pass.
-    det = _xor_of_rows(meas, detectors)
-    obs = np.zeros((circuit.num_observables, fw), dtype=np.uint64)
-    if observables:
-        np.bitwise_xor.at(obs, [o for o, _ in observables],
-                          _xor_of_rows(meas, [t for _, t in observables]))
+        _apply_frame_op(kind, data, x, z, meas, det, obs)
     return det, obs
 
 
@@ -362,11 +282,12 @@ def build_detector_error_model(
     """
     circuit.validate()
     num_det, num_obs = circuit.num_detectors, circuit.num_observables
-    fault_inst, fault_qubit, fault_is_z, comp_p, members = _enumerate_basis_faults(circuit)
-    f = fault_inst.size
+    ops, _ = _circuit_program(circuit, fuse=True)
+    fault_step, fault_qubit, fault_is_z, comp_p, members = _enumerate_basis_faults(ops)
+    f = fault_step.size
     if not f:
         return DetectorErrorModel(num_det, num_obs, [])
-    det, obs = _propagate_basis_faults(circuit, fault_inst, fault_qubit, fault_is_z)
+    det, obs = _propagate_basis_faults(circuit, ops, fault_step, fault_qubit, fault_is_z)
 
     # One signature row per basis fault plus the zero row that pads members.
     dw = num_words(num_det)

@@ -12,7 +12,7 @@ for logical observables.  :func:`noiseless_deterministic` checks that
 premise for a circuit.
 
 Frame update rules (per qubit ``q``; ``x`` is the X component of the frame,
-``z`` the Z component):
+``z`` the Z component), applied by one kernel, :func:`_apply_frame_op`:
 
 ==============  ==========================================================
 Instruction     Effect on the frame
@@ -35,13 +35,20 @@ collapse the frame component that anticommutes with the collapsed stabilizer
 is no longer physically meaningful, and randomising it keeps later
 measurements statistically faithful.
 
+One frame table drives both axes: the sampler packs *shots* into the columns
+of the frame rows, and :mod:`~repro.stabilizer.dem` runs the same compiled
+program with one column per *basis fault*.  Compiled programs are memoised on
+the :class:`~repro.stabilizer.circuit.Circuit` per ``fuse`` value
+(``Circuit.append`` clears them), so the DEM and every sampler of a circuit
+share one lowering.
+
 :class:`PackedFrameSimulator` stores the X/Z frame components, the
 measurement-flip record and the detector/observable outputs as
 little-endian ``uint64`` bit rows (:mod:`~repro.stabilizer.bitpack`): one
 word carries 64 shots.
 
-Instruction dispatch is **vectorised**: at construction the circuit is
-compiled into a small program whose ops carry precomputed target index
+Instruction dispatch is **vectorised**: the circuit is compiled once
+into a small program whose ops carry precomputed target index
 arrays, per-row noise probabilities, flattened measurement maps and
 read/write-hazard-free two-qubit groups, so each op executes as one (or a
 few) whole-array numpy kernels instead of a per-target Python loop:
@@ -324,8 +331,12 @@ def _odd_multiplicity(targets: List[int]) -> np.ndarray:
     return qs[counts % 2 == 1]
 
 
+# Noise-channel op kinds: each XORs fresh Pauli draws into the frame.  Every
+# other kind runs through _apply_frame_op; M/MX also draw their randomisation.
+_CHANNEL_KINDS = frozenset({"xerr", "zerr", "yerr", "dep1", "dep2"})
+
 # Op kinds that consume RNG rows (used to size the shared draw scratch).
-_DRAW_KINDS = frozenset({"m", "mx", "xerr", "zerr", "yerr", "dep1", "dep2"})
+_DRAW_KINDS = _CHANNEL_KINDS | {"m", "mx"}
 
 # Fixed-point precision of the bitgen coarse Bernoulli masks: a noise row
 # always combines exactly this many raw uint64 words per packed shot word,
@@ -334,10 +345,6 @@ _DRAW_KINDS = frozenset({"m", "mx", "xerr", "zerr", "yerr", "dep1", "dep2"})
 # overshoot (and therefore the thinning-candidate surplus) below 2**-16 per
 # lane while still drawing 4x fewer raw words than the exact float stream.
 _BITGEN_K = 12
-
-# Noise-channel op kinds that build a coarse bitgen mask (M/MX are exactly
-# p = 1/2 and draw single raw words instead).
-_BITGEN_CHANNELS = frozenset({"xerr", "zerr", "yerr", "dep1", "dep2"})
 
 
 def _channel_probs(kind: str, data: tuple) -> np.ndarray:
@@ -379,7 +386,7 @@ def _compile_bitgen_aux(ops: List[Tuple[str, int, tuple]]) -> dict:
     """Coarse-mask data for every channel op of a compiled program."""
     aux = {}
     for idx, (kind, _first, data) in enumerate(ops):
-        if kind in _BITGEN_CHANNELS:
+        if kind in _CHANNEL_KINDS:
             aux[idx] = _compile_bitgen_channel(_channel_probs(kind, data))
     return aux
 
@@ -595,6 +602,66 @@ def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int,
     return ops, max_draw_rows
 
 
+def _circuit_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int, tuple]], int]:
+    """:func:`_compile_program`, memoised on the circuit (``append`` clears it)."""
+    prog = circuit._programs.get(fuse)
+    if prog is None:
+        prog = circuit._programs[fuse] = _compile_program(circuit, fuse)
+    return prog
+
+
+def _apply_frame_op(kind: str, data: tuple, x: np.ndarray, z: np.ndarray,
+                    meas: np.ndarray, detectors: np.ndarray,
+                    observables: np.ndarray) -> None:
+    """Apply one non-channel op of a compiled program to packed frame rows.
+
+    The one implementation of the frame rules in the module table; columns
+    are shots for the sampler and basis faults for the DEM builder.  ``m`` /
+    ``mx`` only record the flip: the sampler draws the randomisation itself.
+    """
+    if kind == "det":
+        flat, offsets, rows = data
+        detectors[rows] = np.bitwise_xor.reduceat(meas[flat], offsets, axis=0)
+    elif kind == "mr":
+        tgt, m0 = data
+        meas[m0:m0 + tgt.size] = x[tgt]
+        x[tgt] = 0
+        z[tgt] = 0
+    elif kind in ("m", "mx"):
+        tgt, m0, _dup = data
+        meas[m0:m0 + tgt.size] = (x if kind == "m" else z)[tgt]
+    elif kind == "cx":
+        for c, t in data[0]:
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+    elif kind == "cz":
+        for a, b in data[0]:
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+    elif kind == "h":
+        tgt, = data
+        tmp = x[tgt]  # fancy indexing gathers a copy
+        x[tgt] = z[tgt]
+        z[tgt] = tmp
+    elif kind == "s":
+        tgt, = data
+        z[tgt] ^= x[tgt]
+    elif kind == "reset":
+        tgt, = data
+        x[tgt] = 0
+        z[tgt] = 0
+    elif kind == "mr_seq":
+        tgts, m0 = data
+        for q in tgts:
+            meas[m0] = x[q]
+            x[q] = 0
+            z[q] = 0
+            m0 += 1
+    elif kind == "obs":
+        midx, obs = data
+        observables[obs] ^= np.bitwise_xor.reduce(meas[midx], axis=0)
+
+
 def _xor_scatter(dest: np.ndarray, idx: np.ndarray, rows: np.ndarray,
                  dup: bool) -> None:
     """``dest[idx] ^= rows``, falling back to the unbuffered ufunc when
@@ -691,25 +758,24 @@ class PackedFrameSimulator:
         circuit.validate()
         self.circuit = circuit
         self.rng_mode = rng_mode
-        # fuse(bool) -> (ops, max_draw_rows, bitgen_aux); the fused program
-        # runs the no-trace hot path, the stepwise one preserves the
-        # per-instruction trace contract.  bitgen_aux is None in exact mode
-        # and the per-channel coarse-mask data in bitgen mode — a second
-        # compiled-program flavour sharing the same op stream.
-        self._programs: dict = {}
+        # fuse(bool) -> (ops, bitgen coarse-mask data of those ops): the
+        # programs themselves are memoised on the circuit.
+        self._aux: dict = {}
         self._words: Optional[np.random.SFC64] = None
         self._trng: Optional[np.random.Generator] = None
         self.reseed(seed)
 
     def _program(self, fuse: bool) -> Tuple[List[Tuple[str, int, tuple]], int, Optional[dict]]:
-        prog = self._programs.get(fuse)
-        if prog is None:
-            ops, max_draw_rows = _compile_program(self.circuit, fuse)
-            aux = (_compile_bitgen_aux(ops) if self.rng_mode == "bitgen"
-                   else None)
-            prog = (ops, max_draw_rows, aux)
-            self._programs[fuse] = prog
-        return prog
+        """``(ops, max_draw_rows, bitgen_aux)``: the fused program runs the
+        no-trace hot path, the stepwise one keeps the per-instruction trace
+        contract; ``bitgen_aux`` is None in exact mode."""
+        ops, max_draw_rows = _circuit_program(self.circuit, fuse)
+        if self.rng_mode != "bitgen":
+            return ops, max_draw_rows, None
+        held = self._aux.get(fuse)
+        if held is None or held[0] is not ops:
+            held = self._aux[fuse] = (ops, _compile_bitgen_aux(ops))
+        return ops, max_draw_rows, held[1]
 
     def reseed(self, seed=None) -> "PackedFrameSimulator":
         """Replace the RNG stream, keeping the compiled program warm.
@@ -788,19 +854,25 @@ class PackedFrameSimulator:
 
         insts = circuit.instructions
         for op_index, (kind, first, data) in enumerate(ops):
-            if bitgen and kind in _BITGEN_CHANNELS:
+            if kind not in _CHANNEL_KINDS:
+                _apply_frame_op(kind, data, x, z, meas_flips, detectors, observables)
+                if kind in ("m", "mx"):
+                    # Randomise the collapsed component: Bernoulli(1/2) per
+                    # lane, one fresh word per 64 lanes in bitgen mode.
+                    tgt, _m0, dup = data
+                    other = z if kind == "m" else x
+                    for i0, i1 in _row_blocks(tgt.size, shots):
+                        if bitgen:
+                            flips = words.random_raw((i1 - i0) * nw).reshape(i1 - i0, nw)
+                            flips[:, -1] &= tail
+                        else:
+                            r = rbuf[:i1 - i0]
+                            rng.random(out=r)
+                            flips = pack_rows(np.less(r, 0.5, out=hbuf[:i1 - i0]))
+                        _xor_scatter(other, tgt[i0:i1], flips, dup)
+            elif bitgen:
                 self._run_bitgen_channel(kind, data, bg_aux[op_index],
                                          words, trng, x, z, nw, tail, shots)
-            elif bitgen and kind in ("m", "mx"):
-                tgt, m0, dup = data
-                frame, other = (x, z) if kind == "m" else (z, x)
-                meas_flips[m0:m0 + tgt.size] = frame[tgt]
-                # Measurement randomisation is Bernoulli(1/2) exactly: one
-                # fresh word per 64 lanes, no correction pass needed.
-                for i0, i1 in _row_blocks(tgt.size, shots):
-                    raw = words.random_raw((i1 - i0) * nw).reshape(i1 - i0, nw)
-                    raw[:, -1] &= tail
-                    _xor_scatter(other, tgt[i0:i1], raw, dup)
             elif kind in ("dep1", "dep2"):
                 pflat = _channel_probs(kind, data)
                 for i0, i1 in _row_blocks(pflat.size, shots):
@@ -810,7 +882,7 @@ class PackedFrameSimulator:
                     rows_i, cols_i = _hit_lanes(pack_rows(hit))
                     _flip_lanes(kind, data, i0, rows_i, cols_i,
                                 r[rows_i, cols_i], pflat[i0 + rows_i], x, z)
-            elif kind in ("xerr", "zerr", "yerr"):
+            else:
                 # Packed-row XOR is cheap at any density, so Bernoulli
                 # channels always take the dense compare->pack->XOR path.
                 tgt, pflat, dup = data
@@ -823,55 +895,6 @@ class PackedFrameSimulator:
                         _xor_scatter(x, tgt[i0:i1], rows, dup)
                     if kind != "xerr":
                         _xor_scatter(z, tgt[i0:i1], rows, dup)
-            elif kind == "det":
-                flat, offsets, rows = data
-                detectors[rows] = np.bitwise_xor.reduceat(
-                    meas_flips[flat], offsets, axis=0)
-            elif kind == "mr":
-                tgt, m0 = data
-                meas_flips[m0:m0 + tgt.size] = x[tgt]
-                x[tgt] = 0
-                z[tgt] = 0
-            elif kind in ("m", "mx"):
-                tgt, m0, dup = data
-                frame, other = (x, z) if kind == "m" else (z, x)
-                meas_flips[m0:m0 + tgt.size] = frame[tgt]
-                for i0, i1 in _row_blocks(tgt.size, shots):
-                    r = rbuf[:i1 - i0]
-                    rng.random(out=r)
-                    hit = np.less(r, 0.5, out=hbuf[:i1 - i0])
-                    _xor_scatter(other, tgt[i0:i1], pack_rows(hit), dup)
-            elif kind == "cx":
-                for c, t in data[0]:
-                    x[t] ^= x[c]
-                    z[c] ^= z[t]
-            elif kind == "cz":
-                for a, b in data[0]:
-                    z[a] ^= x[b]
-                    z[b] ^= x[a]
-            elif kind == "h":
-                tgt, = data
-                tmp = x[tgt]  # fancy indexing gathers a copy
-                x[tgt] = z[tgt]
-                z[tgt] = tmp
-            elif kind == "s":
-                tgt, = data
-                z[tgt] ^= x[tgt]
-            elif kind == "reset":
-                tgt, = data
-                x[tgt] = 0
-                z[tgt] = 0
-            elif kind == "mr_seq":
-                tgts, m0 = data
-                for q in tgts:
-                    meas_flips[m0] = x[q]
-                    x[q] = 0
-                    z[q] = 0
-                    m0 += 1
-            elif kind == "obs":
-                midx, obs = data
-                observables[obs] ^= np.bitwise_xor.reduce(meas_flips[midx], axis=0)
-            # else "nop": X/Z/TICK and empty-target ops change nothing.
             if trace is not None:
                 trace(first, insts[first], unpack_bits(x, shots), unpack_bits(z, shots),
                       unpack_bits(meas_flips, shots) if meas_flips.size

@@ -1,9 +1,10 @@
 """Reference CHP (Aaronson–Gottesman) stabilizer tableau simulator.
 
-The frame simulator in :mod:`repro.stabilizer.frame` is fast but it *assumes*
-that every detector is deterministic under zero noise.  This module provides
-an independent, slower, exact stabilizer simulator used to validate that
-assumption and to cross-check measurement statistics on small circuits.
+The test suite's independent oracle.  The frame sampler in
+:mod:`repro.stabilizer.packed` is fast but it *assumes* that every detector
+is deterministic under zero noise.  This module provides an independent,
+slower, exact stabilizer simulator used to validate that assumption and to
+cross-check measurement statistics on small circuits.
 
 The implementation follows the standard CHP construction: the state of ``n``
 qubits is a ``2n x (2n+1)`` binary tableau whose first ``n`` rows are
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit
+from repro.stabilizer import Circuit
 
 __all__ = ["TableauSimulator"]
 

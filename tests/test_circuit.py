@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stabilizer.circuit import Circuit, Instruction, MeasurementTracker
+from repro.stabilizer.circuit import Circuit, Instruction
 
 
 class TestInstruction:
@@ -17,6 +17,14 @@ class TestInstruction:
     def test_noise_probability_range(self):
         with pytest.raises(ValueError):
             Instruction("X_ERROR", (0,), 1.5)
+
+    @pytest.mark.parametrize("name, targets", [
+        ("H", (-1,)), ("CX", (0, -2)), ("X_ERROR", (-1,)), ("DEPOLARIZE2", (0, -1)),
+        ("M", (-1,)), ("MR", (-3,)), ("R", (-1,)), ("RX", (0, -1)),
+    ])
+    def test_negative_qubit_target_rejected(self, name, targets):
+        with pytest.raises(ValueError, match="negative qubit target"):
+            Instruction(name, targets, 0.1 if "ERROR" in name or "DEPOL" in name else 0.0)
 
     def test_target_pairs(self):
         inst = Instruction("CX", (0, 1, 2, 3))
@@ -53,6 +61,15 @@ class TestCircuit:
         c.append("M", [0])
         c.append("OBSERVABLE_INCLUDE", [0], 2)
         assert c.num_observables == 3
+
+    def test_append_rejects_negative_qubit_target(self):
+        # numpy would wrap -1 to the last qubit in the sampler while the DEM
+        # builder ignored the fault; the circuit must not exist at all.
+        c = Circuit(2)
+        c.append("R", [0, 1])
+        with pytest.raises(ValueError, match="negative qubit target"):
+            c.append("X_ERROR", [-1], 1.0)
+        assert len(c) == 1 and c.num_qubits == 2
 
     def test_cx_identical_qubits_rejected(self):
         c = Circuit(2)
@@ -113,19 +130,3 @@ class TestCircuit:
         assert len(c) == 2
         assert [i.name for i in c] == ["H", "M"]
 
-
-class TestMeasurementTracker:
-    def test_record_and_get(self):
-        t = MeasurementTracker()
-        first = t.record(("a", 0))
-        second = t.record(("a", 1))
-        assert (first, second) == (0, 1)
-        assert t.get(("a", 1)) == 1
-        assert t.total == 2
-
-    def test_history(self):
-        t = MeasurementTracker()
-        t.record("x")
-        t.record("x")
-        assert t.all("x") == [0, 1]
-        assert t.has("x") and not t.has("y")

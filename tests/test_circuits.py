@@ -7,10 +7,11 @@ super-stabilizer, boundary-deformed, stability).
 """
 
 import pytest
+from chp_tableau import TableauSimulator
 
 from repro.core import adapt_patch
 from repro.noise import CircuitNoiseModel, DefectSet
-from repro.stabilizer import TableauSimulator, noiseless_deterministic
+from repro.stabilizer import noiseless_deterministic
 from repro.surface_code import (
     CircuitBuildError,
     RotatedSurfaceCodeLayout,

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core import adapt_patch
 from repro.noise import LINK_AND_QUBIT, CircuitNoiseModel, DefectModel, DefectSet
-from repro.stabilizer import Circuit, build_detector_error_model
+from repro.stabilizer import Circuit, PackedFrameSimulator, build_detector_error_model
+from repro.stabilizer import packed
 from repro.stabilizer.dem import DemError, _xor_combine
 from repro.surface_code import RotatedSurfaceCodeLayout, build_memory_circuit
 
@@ -451,3 +452,40 @@ class TestOracleEquivalence:
             want = _xor_combine(want, p)
         (err,) = build_detector_error_model(c).errors
         assert err.probability.hex() == want.hex()
+
+
+class TestSharedProgram:
+    """The DEM builder and the sampler run one memoised lowering of a circuit."""
+
+    def test_dem_then_sampler_compiles_once(self, monkeypatch):
+        calls = []
+        compile_program = packed._compile_program
+
+        def counting(circuit, fuse):
+            calls.append(fuse)
+            return compile_program(circuit, fuse)
+
+        monkeypatch.setattr(packed, "_compile_program", counting)
+        c = _two_bit_repetition(0.01, 0.02)
+        build_detector_error_model(c)
+        PackedFrameSimulator(c, seed=1).sample(100)
+        PackedFrameSimulator(c, seed=2, rng_mode="bitgen").sample(100)
+        assert calls == [True]
+
+    @pytest.mark.parametrize("rng_mode", ["exact", "bitgen"])
+    def test_append_after_compiling_invalidates_the_memo(self, rng_mode):
+        c = Circuit(2)
+        c.append("R", [0, 1])
+        c.append("X_ERROR", [0], 1.0)
+        c.append("M", [0])
+        c.append("DETECTOR", [0])
+        sim = PackedFrameSimulator(c, seed=3, rng_mode=rng_mode)
+        assert [(e.detectors, e.probability) for e in build_detector_error_model(c)] \
+            == [((0,), 1.0)]
+        assert sim.sample(70).detectors.all(axis=0).tolist() == [True]
+        c.append("X_ERROR", [1], 1.0)
+        c.append("M", [1])
+        c.append("DETECTOR", [1])
+        assert [(e.detectors, e.probability) for e in build_detector_error_model(c)] \
+            == [((0,), 1.0), ((1,), 1.0)]
+        assert sim.sample(70).detectors.all(axis=0).tolist() == [True, True]

@@ -190,11 +190,11 @@ class TestPoolFailureHandling:
 class TestWorkerTaskMemo:
     def test_memo_is_lru_bounded_and_env_sized(self, monkeypatch):
         """Hits refresh recency, builds evict the least-recently-used entry,
-        and the bound follows REPRO_TASK_MEMO (sweeps bigger than the memo
+        and the bound follows _TASK_MEMO_LIMIT (sweeps bigger than the memo
         would otherwise rebuild contexts on every interleaved shard)."""
         import repro.engine.executor as ex
 
-        monkeypatch.setenv("REPRO_TASK_MEMO", "2")
+        monkeypatch.setattr(ex, "_TASK_MEMO_LIMIT", 2)
         ex._TASK_MEMO.clear()
         try:
             t1, t2, t3 = d3_task(0.005), d3_task(0.01), d3_task(0.02)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from chp_tableau import TableauSimulator
 
-from repro.stabilizer import Circuit, TableauSimulator, noiseless_deterministic
+from repro.stabilizer import Circuit, noiseless_deterministic
 
 
 class TestGates:
