@@ -91,6 +91,7 @@ def main() -> None:
         assert (got["failures"], got["shots"]) == (ref.failures, ref.shots)
     print("service results are bit-identical to the direct engine run")
 
+    client.close()
     server.shutdown()
     server.server_close()
     store.close()

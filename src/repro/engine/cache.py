@@ -65,11 +65,12 @@ class ResultCache:
     def put(self, key: str, record: dict) -> None:
         """Crash-safely persist a record under the current schema version.
 
-        The record is written to a ``.tmp`` file in the cache root, flushed
-        and fsynced, and only then :func:`os.replace`-d into place — so a
-        worker killed at *any* instant (including mid-``write``, or between
-        write and rename) can never leave a torn JSON file under the
-        record's final name for other workers or service processes to read.
+        The record is encoded first, written to a ``.tmp`` file next to its
+        final name in one write, fsynced, and only then :func:`os.replace`-d
+        into place — so a worker killed at *any* instant (including
+        mid-``write``, or between write and rename) can never leave a torn
+        JSON file under the record's final name for other workers or
+        service processes to read.
         Leftover ``.tmp`` files from killed writers are invisible to
         :meth:`get`/:meth:`keys` and are swept by :meth:`clear`.
         """
@@ -77,10 +78,13 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         body = dict(record)
         body["schema_version"] = self.schema_version
+        # json.dump to a file makes one write per encoder chunk; ASCII-only
+        # dumps() bytes are the same record in one write.
+        payload = json.dumps(body, sort_keys=True).encode()
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

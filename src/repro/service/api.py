@@ -60,6 +60,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the store attached to the server instance."""
 
     protocol_version = "HTTP/1.1"
+    # _send_json writes headers and body separately; on a kept-alive
+    # connection Nagle would hold the body back until the client's delayed
+    # ACK of the headers (about 40 ms per request).
+    disable_nagle_algorithm = True
     server: "ServiceAPIServer"
 
     # ------------------------------------------------------------------
@@ -74,12 +78,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
+    def _drain_body(self) -> bytes:
+        """Read exactly this request's body, whatever the route does with it.
+
+        On a kept-alive connection unread body bytes would be parsed as the
+        next request line, so every request is drained before routing.  A
+        body whose end cannot be found closes the connection.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise _ApiError(400, "request body needs a valid Content-Length")
+        return self.rfile.read(length) if length else b""
+
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._body
         if not raw:
             raise _ApiError(400, "request body must be a JSON object")
         try:
@@ -98,6 +119,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path, query = self._route()
         try:
+            self._body = self._drain_body()
             handler = self._resolve(method, path)
             if handler is None:
                 raise _ApiError(404, f"no such route: {method} {path}")

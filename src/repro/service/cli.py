@@ -1,7 +1,8 @@
 """``python -m repro.service.cli`` — thin HTTP client for the service API.
 
-Stdlib only (:mod:`urllib.request`).  The server URL comes from
-``--url`` or ``REPRO_SERVICE_URL`` (default ``http://127.0.0.1:7940``).
+Stdlib only (:mod:`http.client`): one client holds one keep-alive
+HTTP/1.1 connection and reuses it for every request.  The server URL comes
+from ``--url`` or ``REPRO_SERVICE_URL`` (default ``http://127.0.0.1:7940``).
 
 Commands::
 
@@ -21,11 +22,12 @@ scripts can gate on job success.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
+import socket
 import sys
-import urllib.error
-import urllib.request
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .config import service_url
 
@@ -33,29 +35,78 @@ __all__ = ["main", "ServiceClient"]
 
 
 class ServiceClient:
-    """Minimal JSON client for one service API base URL."""
+    """Minimal JSON client for one service API base URL.
+
+    One client holds one keep-alive connection, opened by the first request
+    and reused by the next; it is not to be shared across threads.  Close it
+    with :meth:`close` or use it as a context manager.
+    """
 
     def __init__(self, base_url: Optional[str] = None, timeout: float = 60.0):
         self.base_url = (base_url or service_url()).rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(
+                f"service URL must be http://host[:port], got {self.base_url!r}")
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        self._conn: Optional[http.client.HTTPConnection] = None
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = http.client.HTTPConnection(self._host, self._port,
+                                          timeout=self.timeout)
+        conn.connect()
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
+
+    def _exchange(self, method: str, target: str, data: Optional[bytes]):
+        reused = self._conn is not None
+        if not reused:
+            self._conn = self._connect()
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        try:
+            self._conn.request(method, target, body=data, headers=headers)
+            return self._conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # The server dropped an idle kept-alive connection (a restart, a
+            # timeout) before answering; RemoteDisconnected is a
+            # ConnectionResetError.  Only a reused connection earns one retry.
+            self.close()
+            if not reused:
+                raise
+            return self._exchange(method, target, data)
 
     def request(self, method: str, path: str, body: Optional[dict] = None):
         data = None if body is None else json.dumps(body).encode()
-        req = urllib.request.Request(self.base_url + path, data=data,
-                                     method=method)
-        if data is not None:
-            req.add_header("Content-Type", "application/json")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
+            resp = self._exchange(method, self._prefix + path, data)
+            raw = resp.read()
+        except BaseException:
+            self.close()
+            raise
+        if resp.will_close:
+            self.close()
+        if resp.status >= 400:
             # API errors are JSON bodies with an "error" key; surface them
             # as ordinary failures rather than tracebacks.
             try:
-                detail = json.loads(exc.read())["error"]
+                detail = json.loads(raw)["error"]
             except Exception:
-                detail = str(exc)
-            raise SystemExit(f"error: {detail} ({exc.code})")
+                detail = f"HTTP Error {resp.status}: {resp.reason}"
+            raise SystemExit(f"error: {detail} ({resp.status})")
+        return json.loads(raw)
+
+    def close(self) -> None:
+        """Close the held connection; the next request opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # Convenience wrappers -------------------------------------------------
     def submit(self, spec: dict) -> dict:
@@ -117,8 +168,15 @@ def main(argv=None) -> int:
     sub.add_parser("stats", help="jobs per state")
 
     args = parser.parse_args(argv)
-    client = ServiceClient(args.url)
+    try:
+        client = ServiceClient(args.url)
+    except ValueError as exc:
+        parser.error(str(exc))
+    with client:
+        return _run(client, args)
 
+
+def _run(client: ServiceClient, args) -> int:
     if args.command == "submit":
         if args.file == "-":
             spec = json.load(sys.stdin)

@@ -106,7 +106,7 @@ class Circuit:
 
     def __init__(self, num_qubits: int = 0):
         self.num_qubits = int(num_qubits)
-        self.instructions: List[Instruction] = []
+        self._instructions: List[Instruction] = []
         self.num_measurements = 0
         self.num_detectors = 0
         self._observable_indices: set[int] = set()
@@ -151,9 +151,15 @@ class Circuit:
                     )
             self._observable_indices.add(int(arg))
 
-        self.instructions.append(inst)
+        self._instructions.append(inst)
         self._programs.clear()
         return inst
+
+    @property
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """The instructions in order, read-only: :meth:`append` is the only
+        way in, so the compiled-program memo can never go stale."""
+        return tuple(self._instructions)
 
     @property
     def num_observables(self) -> int:
@@ -166,19 +172,19 @@ class Circuit:
     # ------------------------------------------------------------------
     def count(self, name: str) -> int:
         """Number of instructions with the given name."""
-        return sum(1 for inst in self.instructions if inst.name == name)
+        return sum(1 for inst in self._instructions if inst.name == name)
 
     def count_targets(self, name: str) -> int:
         """Total number of targets across instructions with the given name."""
-        return sum(len(i.targets) for i in self.instructions if i.name == name)
+        return sum(len(i.targets) for i in self._instructions if i.name == name)
 
     def noise_channel_count(self) -> int:
-        return sum(1 for inst in self.instructions if inst.name in NOISE_CHANNELS)
+        return sum(1 for inst in self._instructions if inst.name in NOISE_CHANNELS)
 
     def without_noise(self) -> "Circuit":
         """A copy of the circuit with all noise channels removed."""
         out = Circuit(self.num_qubits)
-        for inst in self.instructions:
+        for inst in self._instructions:
             if inst.name in NOISE_CHANNELS:
                 continue
             out.append(inst.name, inst.targets, inst.arg)
@@ -186,12 +192,12 @@ class Circuit:
 
     def detectors(self) -> List[Tuple[int, ...]]:
         """List of measurement-index tuples, one per detector, in order."""
-        return [i.targets for i in self.instructions if i.name == "DETECTOR"]
+        return [i.targets for i in self._instructions if i.name == "DETECTOR"]
 
     def observables(self) -> Dict[int, List[int]]:
         """Mapping observable index -> accumulated measurement indices."""
         out: Dict[int, List[int]] = {}
-        for inst in self.instructions:
+        for inst in self._instructions:
             if inst.name == "OBSERVABLE_INCLUDE":
                 out.setdefault(int(inst.arg), []).extend(inst.targets)
         return out
@@ -199,7 +205,7 @@ class Circuit:
     def validate(self) -> None:
         """Raise ``ValueError`` if the circuit is internally inconsistent."""
         measured = 0
-        for inst in self.instructions:
+        for inst in self._instructions:
             if inst.name in MEASUREMENT_GATES:
                 measured += len(inst.targets)
             if inst.name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
@@ -216,14 +222,14 @@ class Circuit:
             raise ValueError("measurement count bookkeeping is inconsistent")
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self._instructions)
 
     def __iter__(self):
-        return iter(self.instructions)
+        return iter(self._instructions)
 
     def __str__(self) -> str:
         lines = []
-        for inst in self.instructions:
+        for inst in self._instructions:
             parts = [inst.name]
             if inst.name in NOISE_CHANNELS or inst.name == "OBSERVABLE_INCLUDE":
                 parts.append(f"({inst.arg})")
@@ -234,7 +240,7 @@ class Circuit:
 
     def __repr__(self) -> str:
         return (
-            f"<Circuit qubits={self.num_qubits} instructions={len(self.instructions)} "
+            f"<Circuit qubits={self.num_qubits} instructions={len(self._instructions)} "
             f"measurements={self.num_measurements} detectors={self.num_detectors} "
             f"observables={self.num_observables}>"
         )

@@ -109,10 +109,21 @@ class TestCircuit:
         c = Circuit(1)
         c.append("M", [0])
         c.append("DETECTOR", [0])
-        # Corrupt the circuit by hand to simulate a builder bug.
-        c.instructions.insert(0, Instruction("DETECTOR", (0,)))
+        # Simulate a builder bug: append refuses a detector ahead of its
+        # measurement and `instructions` is read-only, so corrupt the
+        # private list by hand.
+        c._instructions.insert(0, Instruction("DETECTOR", (0,)))
         with pytest.raises(ValueError):
             c.validate()
+
+    def test_instructions_are_read_only(self):
+        c = Circuit(1)
+        c.append("M", [0])
+        with pytest.raises(AttributeError):
+            c.instructions.insert(0, Instruction("X_ERROR", (0,), 1.0))
+        with pytest.raises(AttributeError):
+            c.instructions = []
+        assert c.instructions == (Instruction("M", (0,)),)
 
     def test_str_and_repr(self):
         c = Circuit(2)

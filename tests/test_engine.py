@@ -11,6 +11,7 @@ Covers the engine's three load-bearing guarantees:
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -330,6 +331,20 @@ class TestResultCache:
         assert (tmp_path / "service.db").exists()
         assert (tmp_path / "ab" / "notes.json").exists()
         assert (tmp_path / "ab" / f"{'cd' * 32}.json").exists()
+
+    def test_put_bytes_are_sorted_ascii_json(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = {"z": [1.5, None], "label": "défaut ψ", "a": {"k": "ü"}}
+        cache.put("ab" * 32, record)
+        body = dict(record, schema_version=cache.schema_version)
+        written = cache.path_for("ab" * 32).read_bytes()
+        assert written == json.dumps(body, sort_keys=True).encode("ascii")
+        # The same bytes a streamed json.dump into a UTF-8 text file writes.
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8") as fh:
+            json.dump(body, fh, sort_keys=True)
+        assert written == streamed.read_bytes()
+        assert cache.get("ab" * 32) == body
 
     def test_torn_write_is_invisible_until_replaced(self, tmp_path):
         cache = ResultCache(tmp_path)

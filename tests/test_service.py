@@ -15,8 +15,10 @@ Covers the subsystem's load-bearing guarantees:
   records) to calling the engine directly.
 """
 
+import http.client
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -44,8 +46,8 @@ from repro.service import (
     spec_cache_keys,
     spec_estimated_cost,
 )
-from repro.service.api import serve
-from repro.service.cli import ServiceClient
+from repro.service.api import ServiceAPIServer, serve
+from repro.service.cli import ServiceClient, main as cli_main
 from repro.service.specs import YIELD_SAMPLE_COST, sweep_items
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -641,6 +643,8 @@ def http_service(tmp_path):
     try:
         yield client, store, tmp_path
     finally:
+        # Closing the client ends the server's parked keep-alive handler.
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -757,3 +761,164 @@ class TestHttpService:
         assert 0.1 <= elapsed < 8.0
         final = client.watch(job["id"])
         assert final["state"] == "done"
+
+
+# ----------------------------------------------------------------------
+# Keep-alive: one connection per client, drained bodies, honest errors
+# ----------------------------------------------------------------------
+class CountingServer(ServiceAPIServer):
+    """An API server that keeps every accepted connection."""
+
+    def __init__(self, *args, **kwargs):
+        self.accepted = []
+        super().__init__(*args, **kwargs)
+
+    def get_request(self):
+        conn, addr = super().get_request()
+        self.accepted.append(conn)
+        return conn, addr
+
+    def stop(self, thread) -> None:
+        """Stop serving and drop every connection, as a dying process does."""
+        for conn in self.accepted:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self.shutdown()
+        self.server_close()
+        thread.join(timeout=5)
+
+
+def start_counting(store, port: int = 0):
+    server = CountingServer(store, "127.0.0.1", port, poll_seconds=0.02)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+@pytest.fixture()
+def counting_service(tmp_path):
+    """A counting API server and a client of it; yields (client, server)."""
+    store = JobStore(tmp_path / "jobs.db")
+    server, thread = start_counting(store)
+    host, port = server.server_address[:2]
+    with ServiceClient(f"http://{host}:{port}", timeout=30.0) as client:
+        yield client, server
+    server.stop(thread)
+    store.close()
+
+
+class TestKeepAlive:
+    def test_one_connection_for_many_requests(self, counting_service):
+        client, server = counting_service
+        job = client.submit(ler_body(seed=61))
+        for _ in range(10):
+            assert client.status(job["id"])["state"] == "queued"
+            assert client.request("GET", "/stats")["states"]["queued"] == 1
+        with pytest.raises(SystemExit, match="404"):
+            client.request("GET", "/nope")
+        assert client.cancel(job["id"])["state"] == "cancelled"
+        assert len(server.accepted) == 1
+
+    def test_error_text_is_unchanged(self, counting_service):
+        client, server = counting_service
+        cases = [
+            (("GET", "/nope"), "error: no such route: GET /nope (404)"),
+            (("GET", "/jobs/doesnotexist"),
+             "error: no such job: doesnotexist (404)"),
+            (("POST", "/jobs", {"kind": "bogus"}),
+             "error: unknown job kind 'bogus'; valid kinds: ler, sweep,"
+             " yield (400)"),
+            (("POST", "/jobs"), "error: request body must be a JSON object"
+             " (400)"),
+        ]
+        for args, text in cases:
+            with pytest.raises(SystemExit) as info:
+                client.request(*args)
+            assert str(info.value) == text
+        assert len(server.accepted) == 1
+        # http.server's own HTML error page (not JSON), sent with
+        # "Connection: close": the client reports the status line and
+        # opens a fresh connection for the next request.
+        with pytest.raises(SystemExit) as info:
+            client.request("PUT", "/jobs")
+        assert str(info.value) \
+            == "error: HTTP Error 501: Unsupported method ('PUT') (501)"
+        assert "states" in client.request("GET", "/stats")
+        assert len(server.accepted) == 2
+
+    def test_unread_request_body_is_drained(self, counting_service):
+        client, server = counting_service
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            for method, path in (("POST", "/nope"), ("DELETE", "/jobs/xyz")):
+                conn.request(method, path, body=b'{"a": 1}',
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 404
+                resp.read()
+                conn.request("GET", "/stats")
+                resp = conn.getresponse()
+                assert resp.status == 200, resp.read()
+                resp.read()
+        finally:
+            conn.close()
+        # A chunked body has no Content-Length to drain: refused, and the
+        # connection is closed rather than left mid-request.
+        with socket.create_connection((host, port), timeout=30.0) as raw:
+            raw.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                        b"Transfer-Encoding: chunked\r\n\r\n"
+                        b'8\r\n{"a": 1}\r\n0\r\n\r\n')
+            reply = b""
+            while chunk := raw.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply and b"Content-Length" in reply
+        assert len(server.accepted) == 2
+
+    def test_reconnects_once_after_server_restart(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.db")
+        server, thread = start_counting(store)
+        host, port = server.server_address[:2]
+        with ServiceClient(f"http://{host}:{port}", timeout=30.0) as client:
+            assert "states" in client.request("GET", "/stats")
+            server.stop(thread)
+            # Same port, new process: the held connection is dead, and the
+            # next request reconnects once and succeeds.
+            server, thread = start_counting(store, port)
+            assert "states" in client.request("GET", "/stats")
+            assert len(server.accepted) == 1
+            server.stop(thread)
+            # Nothing listens now: the retry's fresh connect is refused.
+            with pytest.raises(OSError):
+                client.request("GET", "/stats")
+            with pytest.raises(OSError):
+                client.request("GET", "/stats")
+        store.close()
+
+    def test_round_trips_do_not_stall(self, counting_service):
+        client, server = counting_service
+        client.request("GET", "/stats")
+        start = time.monotonic()
+        for _ in range(50):
+            client.request("GET", "/stats")
+        # A Nagle stall against the client's delayed ACK costs about
+        # 44 ms per round trip, over 2.2 s for 50.
+        assert time.monotonic() - start < 1.5
+        assert len(server.accepted) == 1
+
+    def test_url_validation_and_prefix(self, counting_service):
+        client, server = counting_service
+        with pytest.raises(ValueError, match="http://"):
+            ServiceClient("https://127.0.0.1:1")
+        with pytest.raises(SystemExit) as info:  # usage error, no traceback
+            cli_main(["--url", "https://127.0.0.1:1", "stats"])
+        assert info.value.code == 2
+        host, port = server.server_address[:2]
+        # A base-URL path prefix is sent ahead of every route.
+        with ServiceClient(f"http://{host}:{port}/api/") as prefixed:
+            with pytest.raises(SystemExit,
+                               match=r"no such route: GET /api/stats"):
+                prefixed.request("GET", "/stats")
