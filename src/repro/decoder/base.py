@@ -36,7 +36,7 @@ lives here.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..env import env_int
 
@@ -70,6 +70,10 @@ class BatchDecoderBase:
     def __init__(self) -> None:
         self._syndrome_memo: dict = {}
         self._syndrome_memo_limit = syndrome_cache_limit()
+        # One shared frozenset per distinct parity value (at most
+        # 2**num_observables), so memo entries share their values instead
+        # of each holding its own set.
+        self._parities: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # Lifetime counters, surfaced by the pipeline stats and benchmarks.
         self.decoded_syndromes = 0     # _decode_fired invocations
         self.blossom_calls = 0         # syndromes solved by networkx blossom
@@ -124,7 +128,7 @@ class BatchDecoderBase:
                 continue
             if key:
                 memo.pop(key, None)
-                memo[key] = parity
+                memo[key] = self._parities.setdefault(parity, parity)
         while len(memo) > limit:
             memo.pop(next(iter(memo)))
         return len(memo)
@@ -163,6 +167,7 @@ class BatchDecoderBase:
             memo[key] = hit
             return hit
         parity = self._decode_fired(key)
+        parity = self._parities.setdefault(parity, parity)
         self.decoded_syndromes += 1
         if self._syndrome_memo_limit > 0:
             if len(memo) >= self._syndrome_memo_limit:

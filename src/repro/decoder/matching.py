@@ -192,6 +192,8 @@ class MatchingGraph:
         # the executor's per-worker task memo.
         self._geodesic_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._parity_cache: Dict[Tuple[int, int], FrozenSet[int]] = {}
+        # The cached pairs share one frozenset per distinct parity value.
+        self._parity_values: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     def _build_sparse(self) -> None:
@@ -323,7 +325,7 @@ class MatchingGraph:
             if guard > self.num_detectors + 2:
                 raise RuntimeError("predecessor walk failed to terminate")
         result = frozenset(parity)
-        self._parity_cache[key] = result
+        result = self._parity_cache[key] = self._parity_values.setdefault(result, result)
         return result
 
     def cache_stats(self) -> Dict[str, int]:

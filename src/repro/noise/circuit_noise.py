@@ -16,11 +16,26 @@ as described in the paper ("the other errors on it scale accordingly").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, Iterable, NamedTuple, Tuple
 
 from ..surface_code.layout import Coord
 
-__all__ = ["CircuitNoiseModel"]
+__all__ = ["CircuitNoiseModel", "QubitRates"]
+
+
+class QubitRates(NamedTuple):
+    """Every error rate of one qubit.
+
+    A two-qubit gate takes the larger ``two_qubit`` rate of its two qubits,
+    which is the rate scaled by the worse qubit: rounded multiplication and
+    clipping at 1 are monotone, so the larger scale gives the larger float.
+    """
+
+    two_qubit: float
+    single_qubit: float
+    readout: float
+    idle: float
+    reset: float
 
 
 @dataclass(frozen=True)
@@ -76,31 +91,39 @@ class CircuitNoiseModel:
     # ------------------------------------------------------------------
     # Rate lookups (per-qubit overrides applied here)
     # ------------------------------------------------------------------
-    def _bad_map(self) -> Dict[Coord, float]:
-        return {coord: rate for coord, rate in self.bad_qubits}
+    def rates_by_qubit(self, qubits: Iterable[Coord]) -> Dict[Coord, QubitRates]:
+        """:class:`QubitRates` of each qubit, with the bad-qubit map built once.
 
-    def _scale_for(self, *coords: Coord) -> float:
-        """Ratio by which rates on a gate touching any bad qubit are scaled."""
-        bad = self._bad_map()
-        worst = self.p
-        for c in coords:
-            if c in bad:
-                worst = max(worst, bad[c])
-        if self.p == 0:
-            return 1.0
-        return worst / self.p
+        A circuit builder calls this once per circuit rather than a per-gate
+        lookup for every gate.
+        """
+        bad = {coord: rate for coord, rate in self.bad_qubits}
+        p = self.p
+        out: Dict[Coord, QubitRates] = {}
+        for q in qubits:
+            # Ratio by which every rate on a gate touching a bad qubit scales.
+            scale = max(p, bad[q]) / p if q in bad and p != 0 else 1.0
+            out[q] = QubitRates(
+                two_qubit=min(1.0, p * scale),
+                single_qubit=min(1.0, self.single_qubit_factor * p * scale),
+                readout=min(1.0, self.readout_factor * p * scale),
+                idle=min(1.0, self.idle_data_factor * p * scale),
+                reset=min(1.0, self.reset_factor * p * scale),
+            )
+        return out
 
     def two_qubit_rate(self, a: Coord, b: Coord) -> float:
-        return min(1.0, self.p * self._scale_for(a, b))
+        rates = self.rates_by_qubit((a, b))
+        return max(rates[a].two_qubit, rates[b].two_qubit)
 
     def single_qubit_rate(self, q: Coord) -> float:
-        return min(1.0, self.single_qubit_factor * self.p * self._scale_for(q))
+        return self.rates_by_qubit((q,))[q].single_qubit
 
     def readout_rate(self, q: Coord) -> float:
-        return min(1.0, self.readout_factor * self.p * self._scale_for(q))
+        return self.rates_by_qubit((q,))[q].readout
 
     def idle_rate(self, q: Coord) -> float:
-        return min(1.0, self.idle_data_factor * self.p * self._scale_for(q))
+        return self.rates_by_qubit((q,))[q].idle
 
     def reset_rate(self, q: Coord) -> float:
-        return min(1.0, self.reset_factor * self.p * self._scale_for(q))
+        return self.rates_by_qubit((q,))[q].reset

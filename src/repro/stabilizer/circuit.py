@@ -111,8 +111,10 @@ class Circuit:
         self.num_detectors = 0
         self._observable_indices: set[int] = set()
         # fuse -> compiled sampler program (repro.stabilizer.packed), shared
-        # by the DEM builder and every sampler; append clears it.
+        # by the DEM builder and every sampler; append clears it, as it
+        # clears the flag that a passing validate() sets.
         self._programs: dict = {}
+        self._validated = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -121,38 +123,33 @@ class Circuit:
         self, name: str, targets: Iterable[int] = (), arg: float = 0.0
     ) -> Instruction:
         """Append an instruction, updating qubit/measurement/detector counts."""
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
         inst = Instruction(name, targets, arg)
 
         if name in _QUBIT_INSTRUCTIONS:
             if targets:
                 self.num_qubits = max(self.num_qubits, max(targets) + 1)
             if name in TWO_QUBIT_GATES or name == "DEPOLARIZE2":
-                pairs = inst.target_pairs()
-                for a, b in pairs:
+                for a, b in zip(targets[::2], targets[1::2]):
                     if a == b:
                         raise ValueError(f"{name} applied to identical qubits {a}")
+        elif name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
+            n = self.num_measurements
+            if targets and (min(targets) < 0 or max(targets) >= n):
+                t = next(t for t in targets if not 0 <= t < n)
+                raise ValueError(
+                    f"{name} references measurement {t} but only {n} exist so far"
+                )
+            if name == "DETECTOR":
+                self.num_detectors += 1
+            else:
+                self._observable_indices.add(int(arg))
         if name in MEASUREMENT_GATES:
             self.num_measurements += len(targets)
-        if name == "DETECTOR":
-            for t in targets:
-                if not 0 <= t < self.num_measurements:
-                    raise ValueError(
-                        f"DETECTOR references measurement {t} but only "
-                        f"{self.num_measurements} exist so far"
-                    )
-            self.num_detectors += 1
-        if name == "OBSERVABLE_INCLUDE":
-            for t in targets:
-                if not 0 <= t < self.num_measurements:
-                    raise ValueError(
-                        f"OBSERVABLE_INCLUDE references measurement {t} but only "
-                        f"{self.num_measurements} exist so far"
-                    )
-            self._observable_indices.add(int(arg))
 
         self._instructions.append(inst)
         self._programs.clear()
+        self._validated = False
         return inst
 
     @property
@@ -203,23 +200,33 @@ class Circuit:
         return out
 
     def validate(self) -> None:
-        """Raise ``ValueError`` if the circuit is internally inconsistent."""
+        """Raise ``ValueError`` if the circuit is internally inconsistent.
+
+        A pass is remembered until the next :meth:`append`, so the builder,
+        the DEM and every sampler of one circuit pay for one check.
+        """
+        if self._validated:
+            return
         measured = 0
         for inst in self._instructions:
-            if inst.name in MEASUREMENT_GATES:
-                measured += len(inst.targets)
-            if inst.name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
-                for t in inst.targets:
-                    if t >= measured:
-                        raise ValueError(
-                            f"{inst.name} references a measurement ({t}) that has "
-                            f"not happened yet ({measured} so far)"
-                        )
-            for t in inst.targets:
-                if inst.name not in ("DETECTOR", "OBSERVABLE_INCLUDE") and t >= self.num_qubits:
-                    raise ValueError(f"target {t} exceeds num_qubits={self.num_qubits}")
+            name, targets = inst.name, inst.targets
+            if not targets:
+                continue
+            if name in MEASUREMENT_GATES:
+                measured += len(targets)
+            if name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
+                if max(targets) >= measured:
+                    t = next(t for t in targets if t >= measured)
+                    raise ValueError(
+                        f"{name} references a measurement ({t}) that has "
+                        f"not happened yet ({measured} so far)"
+                    )
+            elif max(targets) >= self.num_qubits:
+                t = next(t for t in targets if t >= self.num_qubits)
+                raise ValueError(f"target {t} exceeds num_qubits={self.num_qubits}")
         if measured != self.num_measurements:
             raise ValueError("measurement count bookkeeping is inconsistent")
+        self._validated = True
 
     def __len__(self) -> int:
         return len(self._instructions)

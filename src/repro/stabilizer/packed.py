@@ -75,10 +75,12 @@ few) whole-array numpy kernels instead of a per-target Python loop:
 * DETECTOR / OBSERVABLE_INCLUDE reduce with ``np.bitwise_xor.reduceat`` /
   ``np.bitwise_xor.reduce`` over measurement-index arrays resolved at
   compile time;
-* runs of *consecutive same-channel instructions* (the dominant shape in
-  the surface-code circuits, which emit one-target noise instructions) fuse
-  into a single op — RNG draw order is unchanged because the fused block
-  draw fills rows in exactly the per-instruction order.
+* runs of *consecutive same-channel instructions* fuse into a single op —
+  RNG draw order is unchanged because the fused block draw fills rows in
+  exactly the per-instruction order.  The surface-code builder already
+  emits one instruction per gate layer, so on its circuits this merges the
+  per-detector ``DETECTOR`` runs, the ``R``/``RX`` resets and the noise
+  layers that a bad qubit's rate splits into runs.
 
 Noise draws consume the **same** ``rng`` variates in the **same order** as
 the frozen per-target loop in :mod:`repro.stabilizer.reference`, so a run
@@ -852,7 +854,7 @@ class PackedFrameSimulator:
             words, trng = self._words, self._trng
             tail = _tail_mask(shots)
 
-        insts = circuit.instructions
+        insts = circuit.instructions if trace is not None else None
         for op_index, (kind, first, data) in enumerate(ops):
             if kind not in _CHANNEL_KINDS:
                 _apply_frame_op(kind, data, x, z, meas_flips, detectors, observables)

@@ -24,12 +24,20 @@ The standard interleaved CNOT schedule (Tomita & Svore) is used: Z-type
 checks couple their data qubits in the order NE, NW, SE, SW and X-type checks
 in the order NE, SE, NW, SW (directions are data-minus-ancilla), which keeps
 every data qubit involved in at most one two-qubit gate per time step.
+
+Circuits are built one instruction per gate layer: each Hadamard and CNOT
+step is one ``H``/``CX``, each round measures all its ancillas with one
+``MR`` and the final readout is one ``M``/``MX``.  A noise layer is one
+instruction per run of equal probability, so with uniform noise it is one
+instruction, and one bad qubit splits it into at most three.  Each qubit's
+rates are looked up once per build, and rounds that measure the same checks
+share one layer list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -50,6 +58,10 @@ __all__ = [
 # Data-qubit coupling order relative to the ancilla, per check type.
 _Z_ORDER: Tuple[Coord, ...] = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 _X_ORDER: Tuple[Coord, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+# One instruction to append: (name, targets, arg).
+_Layer = Tuple[str, List[int], float]
 
 
 class CircuitBuildError(RuntimeError):
@@ -103,6 +115,10 @@ class SyndromeCircuitBuilder:
         self._scheduled = self._collect_checks()
         self._meas_key: Dict[Tuple[Coord, int], int] = {}
         self._final_key: Dict[Coord, int] = {}
+        self._rates = noise.rates_by_qubit(self._index)
+        # Measured-this-round flags -> that round's layers: rounds measuring
+        # the same checks share one layout.
+        self._layers: Dict[Tuple[bool, ...], List[_Layer]] = {}
 
     # ------------------------------------------------------------------
     # Static structure
@@ -127,9 +143,6 @@ class SyndromeCircuitBuilder:
         if not item.is_gauge:
             return True
         return self._block_kind(item.cluster_id, round_index) == item.kind
-
-    def _rounds_measured(self, item: _ScheduledCheck) -> List[int]:
-        return [r for r in range(self.rounds) if self._measured_this_round(item, r)]
 
     def qubit_index(self, coord: Coord) -> int:
         return self._index[coord]
@@ -164,18 +177,17 @@ class SyndromeCircuitBuilder:
     # ------------------------------------------------------------------
     def build(self) -> Circuit:
         circuit = Circuit(num_qubits=len(self._index))
-        data = list(self.patch.active_data)
-        data_idx = [self._index[d] for d in data]
-        noise = self.noise
+        data = self.patch.active_data
 
         # Initial resets.
         reset_gate = "R" if self.data_init_basis == "Z" else "RX"
-        circuit.append(reset_gate, data_idx)
+        circuit.append(reset_gate, [self._index[d] for d in data])
         all_anc = sorted({self._index[c.ancilla] for c in self._scheduled})
         circuit.append("R", all_anc)
-        if noise.reset_factor > 0:
-            for d in data:
-                circuit.append("X_ERROR", [self._index[d]], noise.reset_rate(d))
+        if self.noise.reset_factor > 0:
+            for layer in self._noise_layers("X_ERROR", data,
+                                            [self._rates[d].reset for d in data]):
+                circuit.append(*layer)
 
         for r in range(self.rounds):
             self._append_round(circuit, r)
@@ -187,22 +199,36 @@ class SyndromeCircuitBuilder:
         circuit.validate()
         return circuit
 
-    # ------------------------------------------------------------------
-    def _append_round(self, circuit: Circuit, round_index: int) -> None:
-        noise = self.noise
-        measured = [c for c in self._scheduled
-                    if self._measured_this_round(c, round_index)]
+    def _noise_layers(self, name: str, qubits: Sequence[Coord],
+                      probs: Sequence[float]) -> List[_Layer]:
+        """One ``name`` layer per run of equal probability.
+
+        ``probs`` holds one rate per qubit, or per pair for ``DEPOLARIZE2``
+        (whose ``qubits`` are the gate pairs flattened).
+        """
+        width = 2 if name == "DEPOLARIZE2" else 1
+        targets = [self._index[q] for q in qubits]
+        layers: List[_Layer] = []
+        start = 0
+        for end in range(1, len(probs) + 1):
+            if end == len(probs) or probs[end] != probs[start]:
+                layers.append((name, targets[start * width:end * width], probs[start]))
+                start = end
+        return layers
+
+    def _round_layers(self, measured: Sequence[_ScheduledCheck]) -> List[_Layer]:
+        """Every layer of a round that measures ``measured``, after its TICK."""
+        rates = self._rates
         x_ancillas = [c.ancilla for c in measured if c.kind == "X"]
-
-        circuit.append("TICK")
+        hadamard: List[_Layer] = []
         if x_ancillas:
-            circuit.append("H", [self._index[a] for a in x_ancillas])
-            for a in x_ancillas:
-                circuit.append("DEPOLARIZE1", [self._index[a]], noise.single_qubit_rate(a))
+            hadamard.append(("H", [self._index[a] for a in x_ancillas], 0.0))
+            hadamard += self._noise_layers(
+                "DEPOLARIZE1", x_ancillas, [rates[a].single_qubit for a in x_ancillas])
 
+        layers = list(hadamard)
         for phase in range(4):
-            pairs: List[int] = []
-            pair_coords: List[Tuple[Coord, Coord]] = []
+            pairs: List[Coord] = []
             for item in measured:
                 order = _Z_ORDER if item.kind == "Z" else _X_ORDER
                 dx, dy = order[phase]
@@ -210,37 +236,44 @@ class SyndromeCircuitBuilder:
                 if target not in item.data:
                     continue
                 if item.kind == "Z":
-                    control, victim = target, item.ancilla
+                    pairs += (target, item.ancilla)
                 else:
-                    control, victim = item.ancilla, target
-                pairs.extend((self._index[control], self._index[victim]))
-                pair_coords.append((control, victim))
+                    pairs += (item.ancilla, target)
             if pairs:
-                circuit.append("CX", pairs)
-                for a, b in pair_coords:
-                    circuit.append(
-                        "DEPOLARIZE2",
-                        [self._index[a], self._index[b]],
-                        noise.two_qubit_rate(a, b),
-                    )
-
-        if x_ancillas:
-            circuit.append("H", [self._index[a] for a in x_ancillas])
-            for a in x_ancillas:
-                circuit.append("DEPOLARIZE1", [self._index[a]], noise.single_qubit_rate(a))
+                layers.append(("CX", [self._index[q] for q in pairs], 0.0))
+                layers += self._noise_layers(
+                    "DEPOLARIZE2", pairs,
+                    [max(rates[a].two_qubit, rates[b].two_qubit)
+                     for a, b in zip(pairs[::2], pairs[1::2])])
+        layers += hadamard
 
         # Readout errors, then measure-and-reset every scheduled ancilla.
-        for item in measured:
-            circuit.append("X_ERROR", [self._index[item.ancilla]],
-                           noise.readout_rate(item.ancilla))
-        for item in measured:
-            circuit.append("MR", [self._index[item.ancilla]])
-            self._meas_key[(item.ancilla, round_index)] = circuit.num_measurements - 1
+        ancillas = [item.ancilla for item in measured]
+        if ancillas:
+            layers += self._noise_layers("X_ERROR", ancillas,
+                                         [rates[a].readout for a in ancillas])
+            layers.append(("MR", [self._index[a] for a in ancillas], 0.0))
 
         # Idle noise on data qubits while the ancillas are processed.
-        if noise.idle_data_factor > 0:
-            for d in self.patch.active_data:
-                circuit.append("DEPOLARIZE1", [self._index[d]], noise.idle_rate(d))
+        if self.noise.idle_data_factor > 0:
+            data = self.patch.active_data
+            layers += self._noise_layers("DEPOLARIZE1", data,
+                                         [rates[d].idle for d in data])
+        return layers
+
+    # ------------------------------------------------------------------
+    def _append_round(self, circuit: Circuit, round_index: int) -> None:
+        flags = tuple(self._measured_this_round(c, round_index) for c in self._scheduled)
+        measured = [c for c, on in zip(self._scheduled, flags) if on]
+        layers = self._layers.get(flags)
+        if layers is None:
+            layers = self._layers[flags] = self._round_layers(measured)
+        first = circuit.num_measurements
+        circuit.append("TICK")
+        for layer in layers:
+            circuit.append(*layer)
+        for k, item in enumerate(measured):
+            self._meas_key[(item.ancilla, round_index)] = first + k
 
     # ------------------------------------------------------------------
     def _wants_detectors(self, kind: str) -> bool:
@@ -301,15 +334,16 @@ class SyndromeCircuitBuilder:
 
     # ------------------------------------------------------------------
     def _append_final_readout(self, circuit: Circuit) -> None:
-        noise = self.noise
+        data = self.patch.active_data
         measure_gate = "M" if self.data_init_basis == "Z" else "MX"
         circuit.append("TICK")
-        for d in self.patch.active_data:
-            circuit.append("X_ERROR" if measure_gate == "M" else "Z_ERROR",
-                           [self._index[d]], noise.readout_rate(d))
-        for d in self.patch.active_data:
-            circuit.append(measure_gate, [self._index[d]])
-            self._final_key[d] = circuit.num_measurements - 1
+        for layer in self._noise_layers("X_ERROR" if measure_gate == "M" else "Z_ERROR",
+                                        data, [self._rates[d].readout for d in data]):
+            circuit.append(*layer)
+        first = circuit.num_measurements
+        circuit.append(measure_gate, [self._index[d] for d in data])
+        for k, d in enumerate(data):
+            self._final_key[d] = first + k
 
     def _append_final_detectors(self, circuit: Circuit) -> None:
         # Only checks of the same type as the final measurement basis can be

@@ -111,8 +111,21 @@ class TestCircuit:
         c.append("DETECTOR", [0])
         # Simulate a builder bug: append refuses a detector ahead of its
         # measurement and `instructions` is read-only, so corrupt the
-        # private list by hand.
+        # private list by hand.  No validate() has passed on this circuit,
+        # so the remembered-pass flag is clear and the check really runs.
         c._instructions.insert(0, Instruction("DETECTOR", (0,)))
+        with pytest.raises(ValueError):
+            c.validate()
+
+    def test_validate_runs_again_after_append(self):
+        c = Circuit(1)
+        c.append("M", [0])
+        c.validate()
+        assert c._validated
+        c._instructions.insert(0, Instruction("DETECTOR", (0,)))
+        # Any append clears the remembered pass, so the corruption is seen.
+        c.append("M", [0])
+        assert not c._validated
         with pytest.raises(ValueError):
             c.validate()
 

@@ -12,6 +12,7 @@ from chp_tableau import TableauSimulator
 from repro.core import adapt_patch
 from repro.noise import CircuitNoiseModel, DefectSet
 from repro.stabilizer import noiseless_deterministic
+from repro.stabilizer.circuit import NOISE_CHANNELS
 from repro.surface_code import (
     CircuitBuildError,
     RotatedSurfaceCodeLayout,
@@ -135,22 +136,116 @@ class TestStabilityCircuits:
         assert noiseless_deterministic(circuit)
 
 
+def _noise_applications(circuit) -> int:
+    """Channel applications: one per target, one per pair of DEPOLARIZE2."""
+    return sum(circuit.count_targets(name) // (2 if name == "DEPOLARIZE2" else 1)
+               for name in NOISE_CHANNELS)
+
+
 class TestNoiseModelPlacement:
     def test_noise_channel_counts_scale_with_rounds(self):
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-        two = build_memory_circuit(patch, NOISE, 2).noise_channel_count()
-        four = build_memory_circuit(patch, NOISE, 4).noise_channel_count()
+        two = _noise_applications(build_memory_circuit(patch, NOISE, 2))
+        four = _noise_applications(build_memory_circuit(patch, NOISE, 4))
+        # Two more rounds add their gate, readout and idle channels.
         assert four > two
 
     def test_zero_idle_factor_removes_idle_noise(self):
         quiet = CircuitNoiseModel(p=1e-3, idle_data_factor=0.0)
         patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-        a = build_memory_circuit(patch, NOISE, 2).count("DEPOLARIZE1")
-        b = build_memory_circuit(patch, quiet, 2).count("DEPOLARIZE1")
-        assert b < a
+        a = build_memory_circuit(patch, NOISE, 2).count_targets("DEPOLARIZE1")
+        b = build_memory_circuit(patch, quiet, 2).count_targets("DEPOLARIZE1")
+        assert a - b == 2 * len(patch.active_data)
 
     def test_bad_qubit_override_changes_rates(self):
         noise = CircuitNoiseModel.standard(1e-3).with_bad_qubit((3, 3), 0.05)
         assert noise.two_qubit_rate((3, 3), (2, 2)) == pytest.approx(0.05)
         assert noise.two_qubit_rate((1, 1), (2, 2)) == pytest.approx(1e-3)
         assert noise.readout_rate((3, 3)) > noise.readout_rate((1, 1))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 3e-3, 0.2])
+    def test_rate_table_matches_scaled_formula(self, p):
+        bad = {(1, 1): 0.05, (2, 2): 1e-4, (3, 3): 0.9}
+        noise = CircuitNoiseModel(p=p, reset_factor=0.3)
+        for coord, rate in bad.items():
+            noise = noise.with_bad_qubit(coord, rate)
+        coords = [(0, 0), *bad]
+
+        def scale(*qs):
+            worst = max([p] + [bad[q] for q in qs if q in bad])
+            return worst / p if p else 1.0
+
+        for a in coords:
+            assert noise.single_qubit_rate(a) == min(1.0, 0.8 * p * scale(a))
+            assert noise.readout_rate(a) == min(1.0, (8.0 / 15.0) * p * scale(a))
+            assert noise.idle_rate(a) == min(1.0, 0.8 * p * scale(a))
+            assert noise.reset_rate(a) == min(1.0, 0.3 * p * scale(a))
+            for b in coords:
+                assert noise.two_qubit_rate(a, b) == min(1.0, p * scale(a, b))
+
+
+def _noise_layers(circuit):
+    """Maximal runs of consecutive noise instructions of one name."""
+    layers, run = [], []
+    for inst in circuit.instructions:
+        if run and (inst.name != run[0].name):
+            layers.append(run)
+            run = []
+        if inst.name in NOISE_CHANNELS:
+            run.append(inst)
+    if run:
+        layers.append(run)
+    return layers
+
+
+def _rounds(circuit):
+    """Instruction names between TICKs: the rounds, then the final readout."""
+    segments = []
+    for inst in circuit.instructions:
+        if inst.name == "TICK":
+            segments.append([])
+        elif segments:
+            segments[-1].append(inst.name)
+    return segments
+
+
+class TestLayerShape:
+    """The builder emits one instruction per gate layer and per run of equal
+    noise probability, not one per gate or qubit."""
+
+    @pytest.mark.parametrize("patch", [
+        adapt_patch(RotatedSurfaceCodeLayout(5), DefectSet.of()),
+        adapt_patch(RotatedSurfaceCodeLayout(5), DefectSet.of(qubits=[(5, 5)])),
+    ], ids=["clean", "adapted"])
+    def test_uniform_noise_gives_one_instruction_per_layer(self, patch):
+        circuit = build_memory_circuit(patch, NOISE, 3)
+        *rounds, final = _rounds(circuit)
+        assert len(rounds) == 3
+        for names in rounds:
+            assert names.count("MR") == 1
+            assert names.count("X_ERROR") == 1
+            assert names.count("DEPOLARIZE2") == names.count("CX") > 0
+            # Two Hadamard layers on the X ancillas, then the data idle.
+            assert names.count("H") == 2
+            assert names.count("DEPOLARIZE1") == 3
+        assert final.count("M") == 1 and final.count("X_ERROR") == 1
+
+    def test_first_round_detectors_read_their_own_ancilla(self):
+        patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
+        builder = SyndromeCircuitBuilder(patch, NOISE, 2)
+        circuit = builder.build()
+        mr = next(inst for inst in circuit.instructions if inst.name == "MR")
+        z_ancillas = [builder.qubit_index(c.ancilla)
+                      for c in patch.stabilizers if c.kind == "Z"]
+        first_round = circuit.detectors()[:len(z_ancillas)]
+        assert [mr.targets[t] for (t,) in first_round] == z_ancillas
+
+    def test_bad_qubit_splits_a_layer_into_at_most_three_runs(self):
+        patch = adapt_patch(RotatedSurfaceCodeLayout(5), DefectSet.of())
+        bad = sorted(patch.active_data)[12]
+        circuit = build_memory_circuit(patch, NOISE.with_bad_qubit(bad, 0.05), 3)
+        layers = _noise_layers(circuit)
+        assert max(len(layer) for layer in layers) == 3
+        clean = _noise_layers(build_memory_circuit(patch, NOISE, 3))
+        assert max(len(layer) for layer in clean) == 1
+        assert len(layers) == len(clean)

@@ -168,6 +168,22 @@ class TestDedupMachinery:
         assert decoder.decoded_syndromes == first  # all memo hits
         assert decoder.memo_hits > 0
 
+    def test_memo_entries_share_one_set_per_parity_value(self):
+        decoder = MwpmDecoder(MatchingGraph(_grid_dem()))
+        rng = np.random.default_rng(4)
+        decoder.decode_fired_batch(_fired(rng.random((200, 12)) < 0.2))
+        shared = {}
+        for parity in decoder._syndrome_memo.values():
+            assert shared.setdefault(parity, parity) is parity
+        assert len(shared) < len(decoder._syndrome_memo)
+
+        fresh = MwpmDecoder(MatchingGraph(_grid_dem()))
+        fresh.import_memo(decoder.export_memo())
+        by_value = {}
+        for parity in fresh._syndrome_memo.values():
+            assert by_value.setdefault(parity, parity) is parity
+        assert by_value == shared
+
     def test_memo_limit_zero_disables_cross_batch_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
@@ -294,6 +310,12 @@ class TestPathParityCache:
         assert parity == frozenset({0})
         # Cached object is reused allocation-free.
         assert graph.path_parity(graph.boundary, 0) is parity
+
+    def test_equal_parities_share_one_set(self):
+        graph = MatchingGraph(_line_dem())
+        # Both pairs cross the observable-1 edge (2, 3) and nothing else.
+        assert graph.path_parity(1, 4) is graph.path_parity(2, 3)
+        assert graph.path_parity(0, 1) is graph.path_parity(4, 5)
 
     def test_parity_xor_cancels_even_traversals(self):
         # Edge (2,3) carries observable 1 in the line DEM; a path crossing
