@@ -385,11 +385,28 @@ def _compile_bitgen_channel(pflat: np.ndarray) -> tuple:
 
 
 def _compile_bitgen_aux(ops: List[Tuple[str, int, tuple]]) -> dict:
-    """Coarse-mask data for every channel op of a compiled program."""
+    """Coarse-mask data for every channel op of a compiled program.
+
+    One :func:`_compile_bitgen_channel` pass over the rows of all channel
+    ops, split per op into what that function returns for the op's rows
+    alone: an op's ``m`` is uniform exactly when its ``p_hi = m / 2**K`` is.
+    """
+    chan = [(idx, _channel_probs(kind, data)) for idx, (kind, _first, data)
+            in enumerate(ops) if kind in _CHANNEL_KINDS]
+    if not chan:
+        return {}
+    mbits, full, p_hi, _ = _compile_bitgen_channel(
+        np.concatenate([probs for _, probs in chan]))
+    starts = np.cumsum([0] + [probs.size for _, probs in chan[:-1]])
+    uniform = (np.minimum.reduceat(p_hi, starts)
+               == np.maximum.reduceat(p_hi, starts)).tolist()
+    any_full = (np.logical_or.reduceat(full, starts).tolist() if full is not None
+                else [False] * len(chan))
     aux = {}
-    for idx, (kind, _first, data) in enumerate(ops):
-        if kind in _CHANNEL_KINDS:
-            aux[idx] = _compile_bitgen_channel(_channel_probs(kind, data))
+    for (idx, probs), s, uni, has_full in zip(chan, starts.tolist(), uniform, any_full):
+        e = s + probs.size
+        aux[idx] = (mbits[:, s:e], full[s:e] if has_full else None, p_hi[s:e],
+                    tuple(mbits[:, s].tolist()) if uni else None)
     return aux
 
 
@@ -567,12 +584,11 @@ def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int,
             else:
                 ops.append(("nop", i, ()))
         elif key == "DEPOLARIZE2":
-            pairs = [(a, b) for inst in group for a, b in inst.target_pairs()]
-            if pairs:
-                a_arr = _idx([a for a, _ in pairs])
-                b_arr = _idx([b for _, b in pairs])
+            if targets:
+                a_arr = _idx(targets[0::2])
+                b_arr = _idx(targets[1::2])
                 pflat = np.array([inst.arg for inst in group
-                                  for _ in inst.target_pairs()], dtype=np.float64)
+                                  for _ in inst.targets[1::2]], dtype=np.float64)
                 ops.append(("dep2", i, (a_arr, b_arr, pflat)))
             else:
                 ops.append(("nop", i, ()))
