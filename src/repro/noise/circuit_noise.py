@@ -92,11 +92,7 @@ class CircuitNoiseModel:
     # Rate lookups (per-qubit overrides applied here)
     # ------------------------------------------------------------------
     def rates_by_qubit(self, qubits: Iterable[Coord]) -> Dict[Coord, QubitRates]:
-        """:class:`QubitRates` of each qubit, with the bad-qubit map built once.
-
-        A circuit builder calls this once per circuit rather than a per-gate
-        lookup for every gate.
-        """
+        """:class:`QubitRates` of each qubit, with the bad-qubit map built once."""
         bad = {coord: rate for coord, rate in self.bad_qubits}
         p = self.p
         out: Dict[Coord, QubitRates] = {}
@@ -111,19 +107,3 @@ class CircuitNoiseModel:
                 reset=min(1.0, self.reset_factor * p * scale),
             )
         return out
-
-    def two_qubit_rate(self, a: Coord, b: Coord) -> float:
-        rates = self.rates_by_qubit((a, b))
-        return max(rates[a].two_qubit, rates[b].two_qubit)
-
-    def single_qubit_rate(self, q: Coord) -> float:
-        return self.rates_by_qubit((q,))[q].single_qubit
-
-    def readout_rate(self, q: Coord) -> float:
-        return self.rates_by_qubit((q,))[q].readout
-
-    def idle_rate(self, q: Coord) -> float:
-        return self.rates_by_qubit((q,))[q].idle
-
-    def reset_rate(self, q: Coord) -> float:
-        return self.rates_by_qubit((q,))[q].reset

@@ -159,9 +159,10 @@ class TestNoiseModelPlacement:
 
     def test_bad_qubit_override_changes_rates(self):
         noise = CircuitNoiseModel.standard(1e-3).with_bad_qubit((3, 3), 0.05)
-        assert noise.two_qubit_rate((3, 3), (2, 2)) == pytest.approx(0.05)
-        assert noise.two_qubit_rate((1, 1), (2, 2)) == pytest.approx(1e-3)
-        assert noise.readout_rate((3, 3)) > noise.readout_rate((1, 1))
+        rates = noise.rates_by_qubit([(1, 1), (2, 2), (3, 3)])
+        assert max(rates[(3, 3)].two_qubit, rates[(2, 2)].two_qubit) == pytest.approx(0.05)
+        assert max(rates[(1, 1)].two_qubit, rates[(2, 2)].two_qubit) == pytest.approx(1e-3)
+        assert rates[(3, 3)].readout > rates[(1, 1)].readout
 
     @pytest.mark.parametrize("p", [0.0, 1e-3, 3e-3, 0.2])
     def test_rate_table_matches_scaled_formula(self, p):
@@ -175,13 +176,16 @@ class TestNoiseModelPlacement:
             worst = max([p] + [bad[q] for q in qs if q in bad])
             return worst / p if p else 1.0
 
+        rates = noise.rates_by_qubit(coords)
         for a in coords:
-            assert noise.single_qubit_rate(a) == min(1.0, 0.8 * p * scale(a))
-            assert noise.readout_rate(a) == min(1.0, (8.0 / 15.0) * p * scale(a))
-            assert noise.idle_rate(a) == min(1.0, 0.8 * p * scale(a))
-            assert noise.reset_rate(a) == min(1.0, 0.3 * p * scale(a))
+            assert rates[a].single_qubit == min(1.0, 0.8 * p * scale(a))
+            assert rates[a].readout == min(1.0, (8.0 / 15.0) * p * scale(a))
+            assert rates[a].idle == min(1.0, 0.8 * p * scale(a))
+            assert rates[a].reset == min(1.0, 0.3 * p * scale(a))
             for b in coords:
-                assert noise.two_qubit_rate(a, b) == min(1.0, p * scale(a, b))
+                # A gate takes the worse qubit's rate, float for float.
+                pair = max(rates[a].two_qubit, rates[b].two_qubit)
+                assert pair == min(1.0, p * scale(a, b))
 
 
 def _noise_layers(circuit):
