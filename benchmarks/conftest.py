@@ -13,12 +13,13 @@ engine, so their numbers are bit-identical across worker counts and cache
 states.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.engine import Engine, EngineConfig, set_default_engine
+from repro.engine import Engine, EngineConfig, executor, set_default_engine
 from repro.env import env_str
 
 #: Format version of the BENCH_*.json artifacts; bump when the layout of the
@@ -54,6 +55,15 @@ def print_series(title: str, rows) -> None:
     print(f"\n=== {title} ===")
     for row in rows:
         print("   ", row)
+
+
+@contextlib.contextmanager
+def unfused():
+    """Disable shard-group fusion (``executor._FUSE_TASKS = 1``) inside the
+    block: every shard dispatches alone, as before fusion existed."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(executor, "_FUSE_TASKS", 1)
+        yield
 
 
 def write_bench_json(name: str, series, **extra) -> Path:

@@ -11,10 +11,10 @@ advances many sweep points at once.
 
 This benchmark times the 7-task sweep at ``workers=4`` twice:
 
-* **task-by-task**: one ``run_ler`` per task on a fusion-disabled engine
-  (``fuse_tasks=1``) — the historical baseline, and
-* **fused**: one ``run_sweep`` on a default engine, where the planner
-  groups pending shards up to the ``fuse_tasks``/``fuse_shots`` budgets.
+* **task-by-task**: one ``run_ler`` per task with fusion disabled
+  (``executor._FUSE_TASKS = 1``) — the historical baseline, and
+* **fused**: one ``run_sweep`` with fusion on, where the planner groups
+  pending shards up to the ``_FUSE_TASKS``/``_FUSE_SHOTS`` budgets.
 
 Fusion is pure dispatch, so the results are asserted bit-identical — here
 and across the serial / process / socket backends at worker counts 1, 2
@@ -25,10 +25,12 @@ both paths serialise onto the same silicon.  The measured series and the
 realised fusion counters always land in ``BENCH_fused_sweep.json``.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -39,7 +41,7 @@ from repro.engine.rng import child_stream
 from repro.noise.fabrication import DefectSet
 from repro.surface_code.layout import RotatedSurfaceCodeLayout
 
-from conftest import print_series, write_bench_json
+from conftest import print_series, unfused, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,8 +112,7 @@ def test_fused_sweep_throughput(benchmark, benchmark_seed, worker_hosts,
     fused_engine = Engine(EngineConfig(max_workers=_WORKERS,
                                        shard_size=_SHARD_SIZE))
     plain_engine = Engine(EngineConfig(max_workers=_WORKERS,
-                                       shard_size=_SHARD_SIZE,
-                                       fuse_tasks=1))
+                                       shard_size=_SHARD_SIZE))
     tasks = _tasks()
     items = _items(tasks, benchmark_seed)
     rows = []
@@ -123,21 +124,25 @@ def test_fused_sweep_throughput(benchmark, benchmark_seed, worker_hosts,
         # pays process spawns or circuit/DEM/decoder builds.
         fused_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
                                   seed=benchmark_seed + 1)
-        plain_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
-                                  seed=benchmark_seed + 1)
+        with unfused():
+            plain_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
+                                      seed=benchmark_seed + 1)
 
         # Fused first: residual cache warmth can only bias against it.
         start = time.perf_counter()
         fused = fused_engine.run_sweep(items)
         t_fused = time.perf_counter() - start
-        fusion.update(fused_engine.last_fusion.payload())
-        assert fused_engine.last_fusion.fused_groups > 0, \
+        stats = fused_engine.last_fusion
+        fusion.update(asdict(stats),
+                      fused_shot_fraction=stats.fused_shot_fraction)
+        assert stats.fused_groups > 0, \
             "benchmark never fused (vacuous comparison)"
 
-        start = time.perf_counter()
-        taskwise = [plain_engine.run_ler(it.task, policy=it.policy,
-                                         seed=it.seed) for it in items]
-        t_taskwise = time.perf_counter() - start
+        with unfused():
+            start = time.perf_counter()
+            taskwise = [plain_engine.run_ler(it.task, policy=it.policy,
+                                             seed=it.seed) for it in items]
+            t_taskwise = time.perf_counter() - start
 
         # Fusion is pure dispatch: identical numbers, here and everywhere.
         assert _key(fused) == _key(taskwise)
@@ -183,13 +188,14 @@ def test_fused_sweep_throughput(benchmark, benchmark_seed, worker_hosts,
     # Cache records byte-identical: fused engine vs unfused engine.
     # ------------------------------------------------------------------
     blobs = {}
-    for label, fuse_tasks in (("fused", 8), ("unfused", 1)):
+    for label, dispatch in (("fused", contextlib.nullcontext),
+                            ("unfused", unfused)):
         cache_dir = tmp_path / label
         engine = Engine(EngineConfig(max_workers=_WORKERS,
                                      shard_size=_SHARD_SIZE,
-                                     fuse_tasks=fuse_tasks,
                                      cache_dir=str(cache_dir)))
-        cold = engine.run_sweep(items)
+        with dispatch():
+            cold = engine.run_sweep(items)
         assert not any(r.from_cache for r in cold)
         blobs[label] = {p.relative_to(cache_dir): p.read_bytes()
                         for p in sorted(cache_dir.rglob("*.json"))}

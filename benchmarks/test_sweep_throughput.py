@@ -8,7 +8,7 @@ times with ``max_workers=4``:
   ``run_ler_many`` did before the sweep scheduler (a draining adaptive wave
   leaves most of the pool idle until the task finishes),
 * the **interleaved path**: one ``run_sweep`` over all tasks with fusion
-  disabled (``fuse_tasks=1``), where every pending task's shards share the
+  disabled (``executor._FUSE_TASKS = 1``), where every pending task's shards share the
   pool but each shard is its own dispatch, and
 * the **fused path**: the same ``run_sweep`` with shard-group fusion on
   (the defaults), where compatible shards of different tasks ride one
@@ -31,6 +31,7 @@ is on record either way.
 
 import os
 import time
+from dataclasses import asdict
 
 from repro.core.adaptation import adapt_patch
 from repro.engine import Engine, EngineConfig, LerPointTask, ShotPolicy, SweepItem
@@ -38,7 +39,7 @@ from repro.engine.rng import child_stream
 from repro.noise.fabrication import DefectSet
 from repro.surface_code.layout import RotatedSurfaceCodeLayout
 
-from conftest import print_series, write_bench_json
+from conftest import print_series, unfused, write_bench_json
 
 _WORKERS = 4
 _SHARD_SIZE = 512
@@ -73,8 +74,7 @@ def test_sweep_scheduler_throughput(benchmark, benchmark_seed):
     fused_engine = Engine(EngineConfig(max_workers=_WORKERS,
                                        shard_size=_SHARD_SIZE))
     plain_engine = Engine(EngineConfig(max_workers=_WORKERS,
-                                       shard_size=_SHARD_SIZE,
-                                       fuse_tasks=1))
+                                       shard_size=_SHARD_SIZE))
     tasks = _tasks()
     items = _items(tasks, benchmark_seed)
     rows = []
@@ -89,23 +89,27 @@ def test_sweep_scheduler_throughput(benchmark, benchmark_seed):
         # each engine's own backend processes exist before timing.
         fused_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
                                   seed=benchmark_seed + 1)
-        plain_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
-                                  seed=benchmark_seed + 1)
+        with unfused():
+            plain_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
+                                      seed=benchmark_seed + 1)
 
         start = time.perf_counter()
         fused = fused_engine.run_sweep(items)
         t_fused = time.perf_counter() - start
-        fusion.update(fused_engine.last_fusion.payload())
+        stats = fused_engine.last_fusion
+        fusion.update(asdict(stats),
+                      fused_shot_fraction=stats.fused_shot_fraction)
 
-        start = time.perf_counter()
-        interleaved = plain_engine.run_sweep(items)
-        t_interleaved = time.perf_counter() - start
+        with unfused():
+            start = time.perf_counter()
+            interleaved = plain_engine.run_sweep(items)
+            t_interleaved = time.perf_counter() - start
 
-        start = time.perf_counter()
-        taskwise = [plain_engine.run_ler(it.task, policy=it.policy,
-                                         seed=it.seed)
-                    for it in items]
-        t_taskwise = time.perf_counter() - start
+            start = time.perf_counter()
+            taskwise = [plain_engine.run_ler(it.task, policy=it.policy,
+                                             seed=it.seed)
+                        for it in items]
+            t_taskwise = time.perf_counter() - start
 
         # Scheduling and fusion must be invisible in the numbers, everywhere.
         def key(rs):

@@ -44,7 +44,7 @@ from ..core.patch import AdaptedPatch
 from ..env import env_choice, env_hosts, env_int, env_str
 from ..decoder.matching import MatchingGraph, MwpmDecoder
 from ..stabilizer.dem import build_detector_error_model
-from ..stabilizer.packed import FusedProgram, fused_shot_budget
+from ..stabilizer.packed import FusedProgram
 from .backends import BACKEND_NAMES, Backend, create_backend
 from .cache import ResultCache
 from .pipeline import DecodingPipeline, _memo_cache
@@ -95,17 +95,6 @@ class EngineConfig:
         ``(host, port)`` pairs of remote workers for the socket backend;
         ignored by the other backends.  An entry per job slot — list a
         host twice to keep two shards in flight there.
-    fuse_tasks:
-        Maximum shards per fused dispatch group in ``run_sweep`` (see
-        :func:`_plan_fused_groups`); ``1`` disables fusion.  Pure dispatch
-        batching — results and cache records are fusion-invariant, so the
-        knob is excluded from cache keys like the backend choice.
-    fuse_shots:
-        Per-group budget, in exact-shot equivalents, that a fused group's
-        weighted shard costs may not exceed (bitgen shards count ~1/3 —
-        :func:`~repro.engine.scheduler.rng_mode_shot_cost`).  Keeps fusion
-        to the many-small-shard regime it pays off in: one oversized shard
-        already saturates a worker, so batching it only delays neighbours.
     """
 
     max_workers: int = 1
@@ -113,18 +102,12 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     backend: str = "process"
     hosts: Tuple[Tuple[str, int], ...] = ()
-    fuse_tasks: int = 8
-    fuse_shots: int = 8192
 
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
-        if self.fuse_tasks <= 0:
-            raise ValueError("fuse_tasks must be positive (1 disables fusion)")
-        if self.fuse_shots <= 0:
-            raise ValueError("fuse_shots must be positive")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
@@ -136,8 +119,7 @@ class EngineConfig:
     @classmethod
     def from_env(cls, env=None) -> "EngineConfig":
         """Read ``REPRO_WORKERS`` / ``REPRO_CACHE`` / ``REPRO_SHARD_SIZE``
-        plus the backend selection (``REPRO_BACKEND`` / ``REPRO_HOSTS``)
-        and the fusion budgets (``REPRO_FUSE_TASKS`` / ``REPRO_FUSE_SHOTS``).
+        plus the backend selection (``REPRO_BACKEND`` / ``REPRO_HOSTS``).
 
         Every variable is validated up front (:mod:`repro.env`): garbage,
         non-positive or malformed values raise a ``ValueError`` naming the
@@ -151,11 +133,8 @@ class EngineConfig:
         backend = env_choice("REPRO_BACKEND", "process", BACKEND_NAMES,
                              env=env)
         hosts = env_hosts("REPRO_HOSTS", env=env)
-        fuse_tasks = env_int("REPRO_FUSE_TASKS", 8, minimum=1, env=env)
-        fuse_shots = env_int("REPRO_FUSE_SHOTS", 8192, minimum=1, env=env)
         return cls(max_workers=workers, shard_size=shard, cache_dir=cache,
-                   backend=backend, hosts=hosts,
-                   fuse_tasks=fuse_tasks, fuse_shots=fuse_shots)
+                   backend=backend, hosts=hosts)
 
 
 # ----------------------------------------------------------------------
@@ -242,37 +221,13 @@ class FusionStats:
 
     dispatches: int = 0        # backend submissions + inline executions
     fused_groups: int = 0      # dispatches that carried >= 2 shards
-    fused_shards: int = 0      # shards that travelled inside a fused group
-    total_shards: int = 0      # every shard the sweep executed
-    fused_tasks: int = 0       # distinct sweep items per fused group, summed
     fused_shots: int = 0       # shots sampled inside fused groups
     total_shots: int = 0       # every shot the sweep sampled
-    max_group_shards: int = 0  # largest single dispatch, in shards
 
     @property
     def fused_shot_fraction(self) -> float:
         """Fraction of sampled shots that rode in a fused group."""
         return self.fused_shots / self.total_shots if self.total_shots else 0.0
-
-    @property
-    def mean_group_tasks(self) -> float:
-        """Mean distinct sweep items per fused group (0 when nothing fused)."""
-        return self.fused_tasks / self.fused_groups if self.fused_groups else 0.0
-
-    def payload(self) -> dict:
-        """JSON-able counters + derived ratios for BENCH artifacts."""
-        return {
-            "dispatches": self.dispatches,
-            "fused_groups": self.fused_groups,
-            "fused_shards": self.fused_shards,
-            "total_shards": self.total_shards,
-            "fused_tasks": self.fused_tasks,
-            "fused_shots": self.fused_shots,
-            "total_shots": self.total_shots,
-            "max_group_shards": self.max_group_shards,
-            "fused_shot_fraction": self.fused_shot_fraction,
-            "mean_group_tasks": self.mean_group_tasks,
-        }
 
 
 class _SweepTaskRun:
@@ -422,18 +377,27 @@ def _run_fused_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]]) -> List[Tu
     out: List[Tuple[int, int, int]] = []
     for (pipeline, dem_size), samples, seconds in zip(
             contexts, sample_sets, program.segment_seconds):
-        stats = pipeline.decode_samples(samples, sample_seconds=seconds,
-                                        fused_tasks=len(jobs))
+        stats = pipeline.decode_samples(samples, sample_seconds=seconds)
         pipeline.persist_memo()
         out.append((int(stats.failures),
                     int(pipeline.circuit.num_detectors), int(dem_size)))
     return out
 
 
+#: Fusion budgets of ``run_sweep`` dispatch (see :func:`_plan_fused_groups`):
+#: at most ``_FUSE_TASKS`` shards per group, and at most ``_FUSE_SHOTS``
+#: rng-weighted shots per group (bitgen shards price at ~1/3 —
+#: :func:`~repro.engine.scheduler.rng_mode_shot_cost`), which keeps fusion
+#: to the many-small-shard regime.  The largest fusable shard (8192 exact or
+#: 24,576 bitgen shots) stays far below one packed draw-scratch block row
+#: (``_BLOCK_BYTES // 8`` = 1,048,576 shots), so a fused segment never grows
+#: the scratch its neighbours share.
+_FUSE_TASKS = 8
+_FUSE_SHOTS = 8192
+
+
 def _plan_fused_groups(shards: Sequence[Tuple[str, int, object]], *,
-                       fuse_tasks: int, fuse_shots: int,
-                       target_groups: int = 1,
-                       shot_budget: Optional[int] = None) -> List[List]:
+                       target_groups: int = 1) -> List[List]:
     """Partition ready shard descriptors into dispatch groups.
 
     ``shards`` is a sequence of ``(rng_mode, shots, entry)`` triples in
@@ -444,27 +408,21 @@ def _plan_fused_groups(shards: Sequence[Tuple[str, int, object]], *,
     the timing-dependent ``target_groups`` load split below — yields
     bit-identical results; only wall-clock and the fusion counters move.
 
-    A shard is fusion-eligible when fusion is on (``fuse_tasks > 1``), its
-    rng-weighted cost (:func:`~repro.engine.scheduler.rng_mode_shot_cost`)
-    fits the ``fuse_shots`` budget, and its raw shot count fits the packed
-    draw-scratch row budget
-    (:func:`~repro.stabilizer.packed.fused_shot_budget`) — an oversized
-    segment would force the shared scratch every other segment inherits to
-    grow with it.  Ineligible shards dispatch as singletons.  Groups never
-    mix rng modes: exact and bitgen segments draw different stream kinds
-    and cannot share scratch.
+    A shard is fusion-eligible when its rng-weighted cost
+    (:func:`~repro.engine.scheduler.rng_mode_shot_cost`) fits the
+    ``_FUSE_SHOTS`` budget; ineligible shards, and every shard when
+    ``_FUSE_TASKS`` is 1, dispatch as singletons.  Groups never mix rng
+    modes: exact and bitgen segments draw different stream kinds and cannot
+    share scratch.
 
     ``target_groups`` (the caller's free backend slots) caps group size at
     ``ceil(eligible / target_groups)`` so fusion never *serialises* work an
     idle worker could overlap — batching is only worth its dispatch saving
     once every slot already has something to chew on.
     """
-    if shot_budget is None:
-        shot_budget = fused_shot_budget()
-    eligible = [fuse_tasks > 1 and shots <= shot_budget
-                and rng_mode_shot_cost(mode, shots) <= fuse_shots
+    eligible = [rng_mode_shot_cost(mode, shots) <= _FUSE_SHOTS
                 for mode, shots, _ in shards]
-    cap = min(fuse_tasks, -(-sum(eligible) // max(target_groups, 1)))
+    cap = min(_FUSE_TASKS, -(-sum(eligible) // max(target_groups, 1)))
     groups: List[List] = []
     open_group: Dict[str, List] = {}   # rng_mode -> group accepting members
     open_cost: Dict[str, int] = {}
@@ -475,7 +433,7 @@ def _plan_fused_groups(shards: Sequence[Tuple[str, int, object]], *,
         cost = rng_mode_shot_cost(mode, shots)
         group = open_group.get(mode)
         if group is not None and (len(group) >= cap
-                                  or open_cost[mode] + cost > fuse_shots):
+                                  or open_cost[mode] + cost > _FUSE_SHOTS):
             del open_group[mode], open_cost[mode]
             group = None
         if group is None:
@@ -811,14 +769,11 @@ class Engine:
         grouping affects wall-clock and the fusion counters only.
         """
         backend = self.backend
-        fuse_tasks = self.config.fuse_tasks
-        fuse_shots = self.config.fuse_shots
         pending: Dict = {}  # Future -> [(run, wave slot), ...] in job order
         ready: List = []    # (run, slot, seed, shots) awaiting dispatch
         unfinished = len(runs)
-        counters = {"dispatches": 0, "fused_groups": 0, "fused_shards": 0,
-                    "total_shards": 0, "fused_tasks": 0, "fused_shots": 0,
-                    "total_shots": 0, "max_group_shards": 0}
+        counters = {"dispatches": 0, "fused_groups": 0, "fused_shots": 0,
+                    "total_shots": 0}
 
         def notify(update: WaveUpdate) -> None:
             if on_wave is not None:
@@ -843,25 +798,17 @@ class Engine:
         def record_group(group: List) -> None:
             shots = sum(n for _, _, _, n in group)
             counters["dispatches"] += 1
-            counters["total_shards"] += len(group)
             counters["total_shots"] += shots
-            counters["max_group_shards"] = max(
-                counters["max_group_shards"], len(group))
             if len(group) >= 2:
                 counters["fused_groups"] += 1
-                counters["fused_shards"] += len(group)
                 counters["fused_shots"] += shots
-                counters["fused_tasks"] += len(
-                    {id(run) for run, _, _, _ in group})
 
         def flush() -> None:
             while ready:
                 free = max(backend.parallel_slots - len(pending), 1)
                 entries = [(shard[0].item.task.rng_mode, shard[3], shard)
                            for shard in ready]
-                groups = _plan_fused_groups(
-                    entries, fuse_tasks=fuse_tasks, fuse_shots=fuse_shots,
-                    target_groups=free)
+                groups = _plan_fused_groups(entries, target_groups=free)
                 ready.clear()
                 if (backend.inline_single_shard and unfinished == 1
                         and not pending and len(groups) == 1

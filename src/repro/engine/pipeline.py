@@ -7,11 +7,11 @@ into a failure count for one circuit:
   detector record into bit-packed rows (64 shots per ``uint64`` word — the
   frame never materialises a dense boolean matrix);
 * shots stream through the decoder in fixed-size chunks (``CHUNK_SHOTS``,
-  1024, unless the ``chunk_shots`` argument says otherwise): each chunk is
-  extracted *sparsely* (per-shot fired-detector index tuples) straight from
-  the packed words, so the decode stage never materialises a dense boolean
-  matrix and its peak memory is bounded by the chunk.  (Sampling itself is per-shard — chunked
-  sampling would change the RNG draw order and break bit-identity — but the
+  1024): each chunk is extracted *sparsely* (per-shot fired-detector index
+  tuples) straight from the packed words, so the decode stage never
+  materialises a dense boolean matrix and its peak memory is bounded by the
+  chunk.  (Sampling itself is per-shard — chunked sampling would change the
+  RNG draw order and break bit-identity — but the
   packed record is 8x smaller than the historical boolean arrays, and shard
   size is already capped by ``REPRO_SHARD_SIZE``.);
 * the decoder's deduplicating batch path
@@ -125,7 +125,6 @@ class PipelineStats:
     memo_evictions: int = 0     # syndrome-memo LRU evictions during this run
     memo_size: int = 0          # memo entries held after the run
     blossom_calls: int = 0      # decoded syndromes that needed MWPM blossom
-    fused_tasks: int = 1        # tasks in the fused shard-group this run rode in
 
     @property
     def dedup_factor(self) -> float:
@@ -176,14 +175,10 @@ class DecodingPipeline:
         circuit: Circuit,
         decoder: BatchDecoderBase,
         *,
-        chunk_shots: int = CHUNK_SHOTS,
         rng_mode: str = "exact",
     ):
-        if chunk_shots <= 0:
-            raise ValueError("chunk_shots must be positive")
         self.circuit = circuit
         self.decoder = decoder
-        self.chunk_shots = int(chunk_shots)
         self.rng_mode = rng_mode
         # One warm simulator for the pipeline's lifetime: the compiled
         # vectorised program is reused across runs (shards, scheduler
@@ -265,8 +260,8 @@ class DecodingPipeline:
         t1 = time.perf_counter()
         return self.decode_samples(samples, sample_seconds=t1 - t0)
 
-    def decode_samples(self, samples, *, sample_seconds: float = 0.0,
-                       fused_tasks: int = 1) -> PipelineStats:
+    def decode_samples(self, samples, *,
+                       sample_seconds: float = 0.0) -> PipelineStats:
         """Decode already-sampled packed detector data in chunks and tally.
 
         The decode half of :meth:`run`, split out so the fused execution
@@ -274,9 +269,8 @@ class DecodingPipeline:
         :class:`~repro.stabilizer.packed.FusedProgram` invocation and still
         route each segment through its own pipeline's warm decoder caches.
         ``sample_seconds`` carries the caller's measured sampling time into
-        the stats; ``fused_tasks`` records how many tasks shared the
-        sampling dispatch (1 for unfused runs).  Decoding is a pure function
-        of the syndromes, so the split can never change a tally.
+        the stats.  Decoding is a pure function of the syndromes, so the
+        split can never change a tally.
         """
         shots = int(samples.num_shots)
         if shots <= 0:
@@ -297,8 +291,8 @@ class DecodingPipeline:
         fired_shots = np.flatnonzero(unpack_bits(fired_words, shots))
         empty_shots = shots - fired_shots.size
         chunks = 0
-        for start in range(0, shots, self.chunk_shots):
-            stop = min(start + self.chunk_shots, shots)
+        for start in range(0, shots, CHUNK_SHOTS):
+            stop = min(start + CHUNK_SHOTS, shots)
             fired = samples.fired_detectors(start, stop)
             predictions = decoder.decode_fired_batch(fired, assume_canonical=True)
             lo, hi = np.searchsorted(fired_shots, (start, stop))
@@ -322,5 +316,4 @@ class DecodingPipeline:
             memo_evictions=decoder.memo_evictions - evictions_before,
             memo_size=decoder.memo_size,
             blossom_calls=decoder.blossom_calls - blossom_before,
-            fused_tasks=int(fused_tasks),
         )

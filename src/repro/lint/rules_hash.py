@@ -240,7 +240,6 @@ def _repo_check(repo_root: Path) -> Iterator[Finding]:
     rel = "src/repro/engine/tasks.py"
     lines = _class_lines(tasks_path)
     samples = {type(s): s for s in _sample_tasks()}
-    checked = set()
     for kind, cls in sorted(tasks_mod.TASK_KINDS.items()):
         sample = samples.get(cls)
         if sample is None:
@@ -253,7 +252,6 @@ def _repo_check(repo_root: Path) -> Iterator[Finding]:
                       "rules_hash._sample_tasks()",
             )
             continue
-        checked.add(cls)
         yield from check_task_class(cls, sample, path=rel,
                                     line=lines.get(cls.__name__, 1))
     # The service layer must accept every registered LER-ish kind: a kind
@@ -268,43 +266,6 @@ def _repo_check(repo_root: Path) -> Iterator[Finding]:
                 fixit="keep specs._LER_TASK_KINDS a subset of "
                       "tasks.TASK_KINDS",
             )
-    yield from _check_fusion_key_invariance(samples)
-
-
-def _check_fusion_key_invariance(samples: dict) -> Iterator[Finding]:
-    """Shard-group fusion must never leak into cache keys.
-
-    Fusion is pure dispatch — any grouping yields bit-identical results —
-    so two engines differing only in ``fuse_tasks``/``fuse_shots`` must
-    mint the *same* cache key for the same (task, seed, policy).  A knob
-    that slips into the key would split one computation's records across
-    configs (cold caches everywhere); a knob that slips into results
-    would be a determinism bug the bit-identity tests catch.  This is the
-    dual of the field-coverage check above: execution knobs must stay
-    *out* of the hash just as surely as result-affecting fields stay in.
-    """
-    from ..engine.executor import Engine, EngineConfig
-    from ..engine.scheduler import ShotPolicy
-    from ..engine.tasks import LerPointTask
-
-    sample = samples.get(LerPointTask)
-    if sample is None:
-        return
-    policy = ShotPolicy.fixed(4096)
-    base = Engine(EngineConfig(fuse_tasks=8, fuse_shots=8192))
-    for variant in (EngineConfig(fuse_tasks=1, fuse_shots=8192),
-                    EngineConfig(fuse_tasks=8, fuse_shots=256)):
-        if (Engine(variant)._cache_key(sample, 7, policy)
-                != base._cache_key(sample, 7, policy)):
-            yield Finding(
-                rule=RULE_ID, path="src/repro/engine/executor.py", line=1,
-                col=1,
-                message="fusion knobs (fuse_tasks/fuse_shots) leak into the "
-                        "LER cache key — grouping is dispatch-only and must "
-                        "not split cache records across engine configs",
-                fixit="keep EngineConfig fusion fields out of ler_cache_key",
-            )
-            return
 
 
 register_rule(Rule(

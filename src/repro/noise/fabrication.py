@@ -112,10 +112,3 @@ class DefectModel:
         if self.kind == LINK_AND_QUBIT:
             n_components += layout.num_fabricated_qubits
         return float((1.0 - self.rate) ** n_components)
-
-    def expected_defects(self, layout: RotatedSurfaceCodeLayout) -> float:
-        """Expected number of faulty components on one chiplet."""
-        n_components = layout.num_links
-        if self.kind == LINK_AND_QUBIT:
-            n_components += layout.num_fabricated_qubits
-        return float(self.rate * n_components)

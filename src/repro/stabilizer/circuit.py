@@ -175,9 +175,6 @@ class Circuit:
         """Total number of targets across instructions with the given name."""
         return sum(len(i.targets) for i in self._instructions if i.name == name)
 
-    def noise_channel_count(self) -> int:
-        return sum(1 for inst in self._instructions if inst.name in NOISE_CHANNELS)
-
     def without_noise(self) -> "Circuit":
         """A copy of the circuit with all noise channels removed."""
         out = Circuit(self.num_qubits)

@@ -154,7 +154,7 @@ from .bitpack import WORD_BITS, num_words, pack_rows, unpack_bits
 from .circuit import Circuit
 
 __all__ = ["DrawScratch", "FusedProgram", "PackedDetectorSamples",
-           "PackedFrameSimulator", "RNG_MODES", "fused_shot_budget",
+           "PackedFrameSimulator", "RNG_MODES",
            "noiseless_deterministic"]
 
 #: Supported RNG modes: ``"exact"`` reproduces the paper-exact per-target
@@ -501,19 +501,6 @@ class DrawScratch:
         if hbuf.dtype != np.bool_ or not hbuf.flags.c_contiguous:
             raise AssertionError("hit scratch must be C-contiguous bool")
         return rbuf, hbuf
-
-
-def fused_shot_budget() -> int:
-    """Largest per-segment shot count a fused shard-group may carry.
-
-    One draw-scratch row holds ``shots`` float64 variates; past
-    ``_BLOCK_BYTES // 8`` shots even a single row outgrows the blocked-draw
-    cache budget, and an oversized segment would force the *shared* scratch
-    every other segment inherits to grow with it.  The fusion planner
-    (:func:`repro.engine.executor._plan_fused_groups`) clamps such shards
-    out of fused groups — they dispatch as plain singletons instead.
-    """
-    return _BLOCK_BYTES // 8
 
 
 def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int, tuple]], int]:

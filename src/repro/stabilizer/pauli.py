@@ -110,12 +110,6 @@ class PauliString:
         """Sorted list of qubit indices acted on non-trivially."""
         return list(np.flatnonzero(self.xs | self.zs))
 
-    def x_support(self) -> list[int]:
-        return list(np.flatnonzero(self.xs))
-
-    def z_support(self) -> list[int]:
-        return list(np.flatnonzero(self.zs))
-
     def is_identity(self) -> bool:
         return not bool(np.any(self.xs) or np.any(self.zs))
 

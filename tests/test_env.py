@@ -9,6 +9,10 @@ variable's name in the message instead of a bare traceback (or, as
 ``REPRO_SYNDROME_CACHE`` once did, a silently accepted negative limit).
 """
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.decoder.base import syndrome_cache_limit
@@ -200,3 +204,40 @@ class TestServiceKnobs:
              "REPRO_SERVICE_POLL": service_poll_seconds,
              "REPRO_SERVICE_PORT": service_host_port,
              "REPRO_SERVICE_AGING": service_aging_rate}[var]({var: raw})
+
+
+class TestEnvDocs:
+    """Every ``REPRO_*`` variable ``src/`` reads through :mod:`repro.env`
+    has a row in a README knob table, and every row names a variable
+    ``src/`` still reads."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    READERS = {"env_str", "env_int", "env_float", "env_choice", "env_hosts"}
+
+    def _read_in_src(self):
+        names = set()
+        for path in sorted((self.ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                arg = node.args[0]
+                if (name in self.READERS and isinstance(arg, ast.Constant)
+                        and str(arg.value).startswith("REPRO_")):
+                    names.add(arg.value)
+        return names
+
+    def _documented(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        return set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme,
+                              flags=re.MULTILINE))
+
+    def test_every_read_variable_has_a_readme_row(self):
+        read = self._read_in_src()
+        assert "REPRO_WORKERS" in read  # the scan is not vacuous
+        assert read - self._documented() == set()
+
+    def test_every_readme_row_is_read_in_src(self):
+        assert self._documented() - self._read_in_src() == set()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.adaptation import adapt_patch
 from repro.decoder import MwpmDecoder
+from repro.engine import pipeline as pipeline_mod
 from repro.engine.pipeline import DecodingPipeline
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.fabrication import DefectSet
@@ -142,12 +143,14 @@ def _memory(p):
     _memory(0.004), _memory(0.03), _circuit_without_observables(),
     _circuit_without_detectors()],
     ids=["memory-low-p", "memory-high-p", "no-observables", "no-detectors"])
-def test_chunk_sizes_give_identical_failures_and_empty_shots(circuit):
+def test_chunk_sizes_give_identical_failures_and_empty_shots(circuit,
+                                                             monkeypatch):
     shots = 1001
     decoder = MwpmDecoder(build_detector_error_model(circuit))
     samples = PackedFrameSimulator(circuit, seed=9).sample(shots)
     expected = _per_shot_tally(samples, decoder)
     for chunk in (1, 63, 64, 65, 1000):
-        stats = DecodingPipeline(circuit, decoder, chunk_shots=chunk).decode_samples(samples)
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", chunk)
+        stats = DecodingPipeline(circuit, decoder).decode_samples(samples)
         assert (stats.failures, stats.empty_shots) == expected, chunk
         assert stats.chunks == -(-shots // chunk)

@@ -6,15 +6,14 @@ compatible shards of different sweep tasks into one worker invocation
 :func:`repro.engine.executor._plan_fused_groups`) changes wall-clock and
 the :class:`~repro.engine.FusionStats` counters — never the numbers.
 Fused sweeps must be bit-identical to unfused execution for any grouping,
-worker count and backend, with byte-identical cache records; rng modes
-must never mix inside a group; and the fusion knobs must stay out of
-every cache key.
+worker count and backend, with byte-identical cache records; and rng modes
+must never mix inside a group.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.engine import (
     ShotPolicy,
     SweepItem,
 )
+from repro.engine import executor as executor_mod
 from repro.engine.executor import (
     _plan_fused_groups,
     _run_fused_shards,
@@ -38,7 +38,7 @@ from repro.engine.executor import (
 from repro.engine.scheduler import rng_mode_shot_cost
 from repro.noise import DefectSet
 from repro.stabilizer import packed as packed_mod
-from repro.stabilizer.packed import DrawScratch, FusedProgram, fused_shot_budget
+from repro.stabilizer.packed import DrawScratch, FusedProgram
 from repro.surface_code import RotatedSurfaceCodeLayout
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +89,16 @@ def _engines(worker_hosts, **kwargs):
         "socket-2": Engine(EngineConfig(backend="socket",
                                         hosts=worker_hosts, **kwargs)),
     }
+
+
+@contextlib.contextmanager
+def fusion_budgets(tasks=8, shots=8192):
+    """Run the body under the given fusion budgets (``tasks=1`` disables
+    fusion); the module constants are restored on exit."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(executor_mod, "_FUSE_TASKS", tasks)
+        m.setattr(executor_mod, "_FUSE_SHOTS", shots)
+        yield
 
 
 def task(d=3, p=0.01, rng_mode="exact"):
@@ -195,10 +205,9 @@ def test_run_fused_shards_matches_run_ler_shard():
 # Planner units
 # ----------------------------------------------------------------------
 class TestPlanFusedGroups:
-    def plan(self, shards, **kw):
-        kw.setdefault("fuse_tasks", 8)
-        kw.setdefault("fuse_shots", 8192)
-        return _plan_fused_groups(shards, **kw)
+    def plan(self, shards, tasks=8, shots=8192, **kw):
+        with fusion_budgets(tasks, shots):
+            return _plan_fused_groups(shards, **kw)
 
     def test_modes_never_mix(self):
         shards = [("exact", 100, "a"), ("bitgen", 100, "b"),
@@ -208,47 +217,41 @@ class TestPlanFusedGroups:
 
     def test_fuse_tasks_caps_group_size(self):
         shards = [("exact", 10, i) for i in range(5)]
-        groups = self.plan(shards, fuse_tasks=2)
+        groups = self.plan(shards, tasks=2)
         assert [len(g) for g in groups] == [2, 2, 1]
         assert [e for g in groups for e in g] == list(range(5))
 
     def test_fuse_tasks_one_disables_fusion(self):
         shards = [("exact", 10, i) for i in range(4)]
-        assert self.plan(shards, fuse_tasks=1) == [[0], [1], [2], [3]]
+        assert self.plan(shards, tasks=1) == [[0], [1], [2], [3]]
 
     def test_fuse_shots_budget_closes_groups(self):
         shards = [("exact", 300, "a"), ("exact", 300, "b"),
                   ("exact", 300, "c")]
-        groups = self.plan(shards, fuse_shots=600)
+        groups = self.plan(shards, shots=600)
         assert groups == [["a", "b"], ["c"]]
 
     def test_bitgen_shots_priced_at_a_third(self):
         # 300 bitgen shots cost 100 -> six of them fit a 600 budget.
         shards = [("bitgen", 300, i) for i in range(6)]
-        assert self.plan(shards, fuse_shots=600) == [list(range(6))]
+        assert self.plan(shards, shots=600) == [list(range(6))]
         # The same shots in exact mode split into pairs.
         shards = [("exact", 300, i) for i in range(6)]
-        groups = self.plan(shards, fuse_shots=600)
+        groups = self.plan(shards, shots=600)
         assert [len(g) for g in groups] == [2, 2, 2]
 
     def test_oversized_shard_dispatches_alone(self):
         shards = [("exact", 100, "a"), ("exact", 9000, "big"),
                   ("exact", 100, "b")]
-        groups = self.plan(shards, fuse_shots=1000)
+        groups = self.plan(shards, shots=1000)
         assert ["big"] in groups
         assert sorted(e for g in groups for e in g) == ["a", "b", "big"]
 
-    def test_scratch_budget_clamps_fusion(self, monkeypatch):
-        """A shard whose shot count exceeds the packed draw-scratch row
-        budget must not fuse — the shared scratch every other segment
-        inherits would have to grow with it."""
-        monkeypatch.setattr(packed_mod, "_BLOCK_BYTES", 8 * 64)
-        assert fused_shot_budget() == 64
-        shards = [("exact", 64, "fits"), ("exact", 65, "spills"),
-                  ("exact", 64, "fits2")]
-        groups = self.plan(shards, fuse_shots=8192)
-        assert ["spills"] in groups
-        assert ["fits", "fits2"] in groups
+    def test_largest_fusable_shard_fits_one_scratch_row(self):
+        """The shot budget alone bounds fused segments: the largest exact
+        shard it admits fits one packed draw-scratch block row, so a fused
+        segment never grows the scratch every other segment inherits."""
+        assert executor_mod._FUSE_SHOTS <= packed_mod._BLOCK_BYTES // 8
 
     def test_target_groups_splits_for_idle_slots(self):
         """Fusion must not serialise work idle workers could overlap:
@@ -273,10 +276,11 @@ class TestPlanFusedGroups:
 class TestFusionBitIdentity:
     def test_fused_matches_unfused_across_all_backends(self, worker_hosts):
         """Mixed exact+bitgen sweep: serial / process 2 and 4 / socket,
-        fused (default) and unfused (fuse_tasks=1) — one set of numbers."""
-        reference = [ler_tuple(r) for r in
-                     Engine(EngineConfig(shard_size=128, fuse_tasks=1))
-                     .run_sweep(fusion_items())]
+        fused (default) and unfused (_FUSE_TASKS=1) — one set of numbers."""
+        with fusion_budgets(tasks=1):
+            reference = [ler_tuple(r) for r in
+                         Engine(EngineConfig(shard_size=128))
+                         .run_sweep(fusion_items())]
         for name, engine in _engines(worker_hosts, shard_size=128).items():
             got = [ler_tuple(r) for r in engine.run_sweep(fusion_items())]
             assert got == reference, f"{name} diverged under fusion"
@@ -287,10 +291,9 @@ class TestFusionBitIdentity:
         reference = None
         for fuse_tasks, fuse_shots in [(1, 8192), (2, 8192), (8, 512),
                                        (8, 8192), (3, 1000)]:
-            engine = Engine(EngineConfig(shard_size=128,
-                                         fuse_tasks=fuse_tasks,
-                                         fuse_shots=fuse_shots))
-            got = [ler_tuple(r) for r in engine.run_sweep(fusion_items())]
+            engine = Engine(EngineConfig(shard_size=128))
+            with fusion_budgets(fuse_tasks, fuse_shots):
+                got = [ler_tuple(r) for r in engine.run_sweep(fusion_items())]
             if reference is None:
                 reference = got
             assert got == reference, (fuse_tasks, fuse_shots)
@@ -305,20 +308,17 @@ class TestFusionBitIdentity:
         fusion = engine.last_fusion
         assert fusion.dispatches == 1
         assert fusion.fused_groups == 1
-        assert fusion.fused_shards == 4 == fusion.total_shards
-        assert fusion.fused_tasks == 4
-        assert fusion.max_group_shards == 4
         assert fusion.fused_shots == 4 * 128 == fusion.total_shots
         assert fusion.fused_shot_fraction == 1.0
-        assert fusion.mean_group_tasks == 4.0
 
     def test_unfused_engine_reports_zero_fusion(self):
-        engine = Engine(EngineConfig(shard_size=128, fuse_tasks=1))
-        engine.run_sweep(fusion_items())
+        engine = Engine(EngineConfig(shard_size=128))
+        with fusion_budgets(tasks=1):
+            engine.run_sweep(fusion_items())
         assert isinstance(engine.last_fusion, FusionStats)
         assert engine.last_fusion.fused_groups == 0
         assert engine.last_fusion.fused_shot_fraction == 0.0
-        assert engine.last_fusion.total_shards > 0
+        assert engine.last_fusion.total_shots > 0
 
     def test_incompatible_rng_modes_never_fuse(self):
         """Every dispatch group observed via a submit spy holds one mode."""
@@ -346,9 +346,9 @@ class TestFusionBitIdentity:
         for name, fuse_tasks in [("fused", 8), ("unfused", 1)]:
             cache_dir = tmp_path / name
             engine = Engine(EngineConfig(shard_size=128,
-                                         fuse_tasks=fuse_tasks,
                                          cache_dir=str(cache_dir)))
-            results = engine.run_sweep(fusion_items())
+            with fusion_budgets(tasks=fuse_tasks):
+                results = engine.run_sweep(fusion_items())
             assert not any(r.from_cache for r in results)
             blobs[name] = {
                 p.relative_to(cache_dir): p.read_bytes()
@@ -360,60 +360,33 @@ class TestFusionBitIdentity:
     def test_fused_run_warms_unfused_engine_and_back(self, tmp_path):
         fused = Engine(EngineConfig(shard_size=128,
                                     cache_dir=str(tmp_path)))
-        unfused = Engine(EngineConfig(shard_size=128, fuse_tasks=1,
+        unfused = Engine(EngineConfig(shard_size=128,
                                       cache_dir=str(tmp_path)))
         cold = fused.run_sweep(fusion_items())
-        warm = unfused.run_sweep(fusion_items())
+        with fusion_budgets(tasks=1):
+            warm = unfused.run_sweep(fusion_items())
         assert all(r.from_cache for r in warm)
         assert [ler_tuple(r) for r in cold] == [ler_tuple(r) for r in warm]
 
     def test_partially_warm_fused_sweep(self, tmp_path):
         items = fusion_items()
-        Engine(EngineConfig(shard_size=128, fuse_tasks=1,
-                            cache_dir=str(tmp_path))).run_sweep([items[1],
-                                                                 items[3]])
+        with fusion_budgets(tasks=1):
+            Engine(EngineConfig(shard_size=128, cache_dir=str(tmp_path))
+                   ).run_sweep([items[1], items[3]])
         engine = Engine(EngineConfig(shard_size=128,
                                      cache_dir=str(tmp_path)))
         results = engine.run_sweep(items)
         assert [r.from_cache for r in results] == [False, True, False, True,
                                                    False, False]
-        ref = Engine(EngineConfig(shard_size=128,
-                                  fuse_tasks=1)).run_sweep(items)
+        with fusion_budgets(tasks=1):
+            ref = Engine(EngineConfig(shard_size=128)).run_sweep(items)
         assert [ler_tuple(r) for r in results] == [ler_tuple(r) for r in ref]
 
 
 # ----------------------------------------------------------------------
-# Config knobs, cost model, key invariance
+# Cost model
 # ----------------------------------------------------------------------
 class TestFusionConfig:
-    def test_fuse_knob_validation(self):
-        with pytest.raises(ValueError, match="fuse_tasks"):
-            EngineConfig(fuse_tasks=0)
-        with pytest.raises(ValueError, match="fuse_shots"):
-            EngineConfig(fuse_shots=-1)
-        assert EngineConfig(fuse_tasks=1).fuse_tasks == 1  # 1 = disabled, valid
-
-    def test_fuse_knobs_from_env(self):
-        cfg = EngineConfig.from_env(env={"REPRO_FUSE_TASKS": "4",
-                                         "REPRO_FUSE_SHOTS": "2048"})
-        assert (cfg.fuse_tasks, cfg.fuse_shots) == (4, 2048)
-
-    def test_garbage_fuse_env_raises_with_var_name(self):
-        with pytest.raises(ValueError, match="REPRO_FUSE_TASKS"):
-            EngineConfig.from_env(env={"REPRO_FUSE_TASKS": "lots"})
-        with pytest.raises(ValueError, match="REPRO_FUSE_SHOTS"):
-            EngineConfig.from_env(env={"REPRO_FUSE_SHOTS": "0"})
-
-    def test_fusion_knobs_stay_out_of_cache_keys(self):
-        t = task(3, 0.01)
-        policy = ShotPolicy.fixed(640)
-        keys = {
-            Engine(replace(EngineConfig(), fuse_tasks=ft, fuse_shots=fs))
-            ._cache_key(t, 7, policy)
-            for ft, fs in [(1, 8192), (8, 8192), (8, 64), (3, 1000)]
-        }
-        assert len(keys) == 1
-
     def test_rng_mode_shot_cost(self):
         assert rng_mode_shot_cost("exact", 9000) == 9000
         assert rng_mode_shot_cost("bitgen", 9000) == 3000

@@ -19,6 +19,7 @@ from repro.core.adaptation import adapt_patch
 from repro.decoder import MatchingGraph, MwpmDecoder
 from repro.decoder.reference import reference_mwpm_decode
 from repro.engine import DecodingPipeline, PipelineStats
+from repro.engine import pipeline as pipeline_mod
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -50,37 +51,34 @@ def _reference_failures(circuit, shots, seed):
 
 
 class TestChunkInvariance:
-    def test_chunk_sizes_never_change_tallies(self):
+    def test_chunk_sizes_never_change_tallies(self, monkeypatch):
         circuit = _circuit()
         shots = 40
         tallies = {}
         for chunk in (1, 7, shots):
-            pipeline = DecodingPipeline(circuit, _decoder(circuit),
-                                        chunk_shots=chunk)
+            monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", chunk)
+            pipeline = DecodingPipeline(circuit, _decoder(circuit))
             stats = pipeline.run(shots, seed=31)
             tallies[chunk] = stats.failures
             assert stats.shots == shots
             assert stats.chunks == -(-shots // chunk)
         assert len(set(tallies.values())) == 1, tallies
 
-    def test_invalid_chunk_rejected(self):
-        circuit = _circuit()
-        with pytest.raises(ValueError):
-            DecodingPipeline(circuit, _decoder(circuit), chunk_shots=0)
-
 
 class TestBitIdentityWithLegacyPath:
     @pytest.mark.parametrize("p", [0.001, 0.006])
-    def test_pipeline_matches_frozen_reference_path(self, p):
+    def test_pipeline_matches_frozen_reference_path(self, p, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 32)
         circuit = _circuit(p=p)
         shots = 120
-        pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=32)
+        pipeline = DecodingPipeline(circuit, _decoder(circuit))
         stats = pipeline.run(shots, seed=77)
         assert stats.failures == _reference_failures(circuit, shots, seed=77)
 
-    def test_repeat_runs_are_deterministic_and_warm(self):
+    def test_repeat_runs_are_deterministic_and_warm(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 16)
         circuit = _circuit()
-        pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=16)
+        pipeline = DecodingPipeline(circuit, _decoder(circuit))
         first = pipeline.run(60, seed=5)
         second = pipeline.run(60, seed=5)
         assert first.failures == second.failures
@@ -90,9 +88,10 @@ class TestBitIdentityWithLegacyPath:
 
 
 class TestPipelineStats:
-    def test_stats_accounting(self):
+    def test_stats_accounting(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 25)
         circuit = _circuit(p=0.002)
-        pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
+        pipeline = DecodingPipeline(circuit, _decoder(circuit))
         stats = pipeline.run(100, seed=13)
         assert isinstance(stats, PipelineStats)
         assert stats.chunks == 4
@@ -103,16 +102,16 @@ class TestPipelineStats:
         assert 1 <= stats.distinct_syndromes < stats.shots
         assert stats.dedup_factor > 1.0
 
-    def test_sample_decode_time_split(self):
+    def test_sample_decode_time_split(self, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 25)
         circuit = _circuit(p=0.002)
-        pipeline = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
+        pipeline = DecodingPipeline(circuit, _decoder(circuit))
         stats = pipeline.run(100, seed=13)
         assert stats.sample_seconds > 0.0
         assert stats.decode_seconds > 0.0
         assert 0.0 < stats.sample_fraction < 1.0
         # The split never affects the numbers.
-        again = DecodingPipeline(circuit, _decoder(circuit),
-                                 chunk_shots=25).run(100, seed=13)
+        again = DecodingPipeline(circuit, _decoder(circuit)).run(100, seed=13)
         assert again.failures == stats.failures
 
     def test_shots_must_be_positive(self):
@@ -125,8 +124,9 @@ class TestPipelineStats:
         (and from there into the BENCH decoder artifacts), so
         REPRO_SYNDROME_CACHE can be sized from CI data."""
         monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 25)
         circuit = _circuit(p=0.006)
-        tiny = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
+        tiny = DecodingPipeline(circuit, _decoder(circuit))
         stats = tiny.run(150, seed=13)
         # A 2-entry memo cannot hold this run's distinct syndromes: the
         # churn must be visible, and the memo pinned at its limit.
@@ -135,7 +135,7 @@ class TestPipelineStats:
         assert stats.memo_pressure > 0.0
 
         monkeypatch.setenv("REPRO_SYNDROME_CACHE", "65536")
-        roomy = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
+        roomy = DecodingPipeline(circuit, _decoder(circuit))
         relaxed = roomy.run(150, seed=13)
         assert relaxed.memo_evictions == 0
         assert relaxed.memo_pressure == 0.0
