@@ -6,14 +6,16 @@ compatible shards of different sweep tasks into one worker invocation
 :func:`repro.engine.executor._plan_fused_groups`) changes wall-clock and
 the :class:`~repro.engine.FusionStats` counters — never the numbers.
 Fused sweeps must be bit-identical to unfused execution for any grouping,
-worker count and backend, with byte-identical cache records; and rng modes
-must never mix inside a group.
+worker count and backend, with byte-identical cache records; rng modes
+must never mix inside a group; and the fusion budgets must stay out of
+every cache key.
 """
 
 import contextlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +389,26 @@ class TestFusionBitIdentity:
 # Cost model
 # ----------------------------------------------------------------------
 class TestFusionConfig:
+    def test_engine_config_carries_no_fusion_budget(self):
+        """The fusion budgets are module constants, not engine options."""
+        assert [f.name for f in fields(EngineConfig)] == [
+            "max_workers", "shard_size", "cache_dir", "backend", "hosts"]
+
+    def test_fusion_stats_keeps_the_read_counters(self):
+        assert [f.name for f in fields(FusionStats)] == [
+            "dispatches", "fused_groups", "fused_shots", "total_shots"]
+        assert FusionStats(fused_shots=3, total_shots=4) \
+            .fused_shot_fraction == 0.75
+
+    def test_fusion_knobs_stay_out_of_cache_keys(self):
+        t = task(3, 0.01)
+        policy = ShotPolicy.fixed(640)
+        keys = set()
+        for tasks, shots in [(1, 8192), (8, 8192), (8, 64), (3, 1000)]:
+            with fusion_budgets(tasks, shots):
+                keys.add(Engine(EngineConfig())._cache_key(t, 7, policy))
+        assert len(keys) == 1
+
     def test_rng_mode_shot_cost(self):
         assert rng_mode_shot_cost("exact", 9000) == 9000
         assert rng_mode_shot_cost("bitgen", 9000) == 3000

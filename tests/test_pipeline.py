@@ -64,6 +64,22 @@ class TestChunkInvariance:
             assert stats.chunks == -(-shots // chunk)
         assert len(set(tallies.values())) == 1, tallies
 
+    def test_chunk_size_read_on_each_run(self, monkeypatch):
+        """A pipeline built before the chunk size changes runs at the new
+        size: the constant is read per call, not captured at construction."""
+        circuit = _circuit()
+        pipeline = DecodingPipeline(circuit, _decoder(circuit))
+        before = pipeline.run(40, seed=31)
+        monkeypatch.setattr(pipeline_mod, "CHUNK_SHOTS", 10)
+        after = pipeline.run(40, seed=31)
+        assert (before.chunks, after.chunks) == (1, 4)
+        assert after.failures == before.failures
+
+    def test_chunk_size_is_not_a_constructor_argument(self):
+        circuit = _circuit()
+        with pytest.raises(TypeError):
+            DecodingPipeline(circuit, _decoder(circuit), chunk_shots=8)
+
 
 class TestBitIdentityWithLegacyPath:
     @pytest.mark.parametrize("p", [0.001, 0.006])
